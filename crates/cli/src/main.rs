@@ -29,8 +29,7 @@ USAGE:
     genesis-opt run <prog.mf> <OPT>                apply one optimizer, guarded
     genesis-opt seq <prog.mf> <OPT>[,<OPT>…]       apply a sequence, guarded
         run/seq options: [--validate] [--timeout-ms N] [--fuel N]
-        [--max-growth K] [--matcher fused|indexed|scan]
-        [--inject KIND[@OPT][:N]]
+        [--max-growth K] [--inject KIND[@OPT][:N]]
         [--trace FILE] [--metrics] plus the apply options
     genesis-opt batch <prog.mf>… [--seq <OPT>,<OPT>…] [--threads N]
         apply a sequence to many programs in parallel (one session per
@@ -62,11 +61,7 @@ optimizer is rolled back and quarantined, and the exit code is nonzero.
 analysis|action|corrupt|panic|panic-action|timeout|fuel|corrupt-deps;
 a leading ~ makes it transient, firing at most once) to exercise the
 recovery paths. --no-degrade turns off the driver's degradation ladder
-(stale index → scan → full re-analysis) and restores hard failures.
---matcher picks the candidate searcher: `fused` (default) dispatches the
-whole catalog through one shared anchor automaton, `indexed` probes one
-per-optimizer statement index, `scan` walks every statement
-(`GENESIS_MATCHER` sets the default).
+(stale automaton → scan → full re-analysis) and restores hard failures.
 --keep-going drives the remaining batch files past a failure; --retries
 and --file-timeout-ms bound each file's attempts; --report FILE writes
 the structured per-file batch report as JSON.
@@ -279,21 +274,12 @@ fn num_option<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Optio
 }
 
 fn parse_session_options(args: &[String]) -> Result<SessionOptions, String> {
-    let matcher = match option(args, "--matcher") {
-        None if flag(args, "--matcher") => {
-            return Err("--matcher requires a value (fused|indexed|scan)".into())
-        }
-        None => genesis::matcher_default(),
-        Some(v) => genesis::MatcherKind::parse(&v)
-            .ok_or_else(|| format!("--matcher: `{v}` is not one of fused|indexed|scan"))?,
-    };
     Ok(SessionOptions {
         recompute_deps: !flag(args, "--no-recompute"),
         timeout_ms: num_option(args, "--timeout-ms")?,
         fuel: num_option(args, "--fuel")?,
         max_growth: num_option(args, "--max-growth")?,
         degraded_recovery: !flag(args, "--no-degrade"),
-        matcher,
         trace_sample: num_option(args, "--trace-sample")?.unwrap_or(1),
         ..SessionOptions::default()
     })
@@ -409,7 +395,7 @@ fn run_optimizers(prog: Program, names: &[&str], args: &[String]) -> Result<(), 
 /// drives every file regardless. The exit code is nonzero only when at
 /// least one file ultimately failed.
 fn run_batch_command(args: &[String]) -> Result<(), String> {
-    const VALUE_OPTS: [&str; 13] = [
+    const VALUE_OPTS: [&str; 12] = [
         "--seq",
         "--threads",
         "--trace",
@@ -417,7 +403,6 @@ fn run_batch_command(args: &[String]) -> Result<(), String> {
         "--timeout-ms",
         "--fuel",
         "--max-growth",
-        "--matcher",
         "--spec",
         "--retries",
         "--file-timeout-ms",

@@ -8,31 +8,27 @@ use crate::compile::{CompiledOptimizer, Strategy};
 use crate::cost::Cost;
 use crate::error::RunError;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::index::{MatchCache, StmtIndex};
 use crate::rt::Bindings;
 use crate::solve::Searcher;
 use gospel_dep::{DepGraph, UpdateKind};
 use gospel_ir::{EditDelta, Opcode, Program, Quad, StmtId};
 use gospel_trace::{Name, Recorder, Span, Value};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Which candidate-enumeration machinery drives the search.
 ///
-/// All three produce identical bindings (the differential suite and the
-/// bench cross-checks hold them to it); they differ only in how anchor
-/// candidates are enumerated, and each rung degrades to the next on
-/// stale state: fused → per-optimizer index → scan.
+/// Both produce identical bindings (the differential suite and the bench
+/// cross-check hold them to it); they differ only in how anchor
+/// candidates are enumerated. The fused matcher is the default and falls
+/// to the scan on stale state, so the ladder is fused → scan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatcherKind {
-    /// Full program scans — the authoritative baseline.
+    /// Full program scans — the authoritative reference the fused
+    /// matcher must agree with.
     Scan,
-    /// Per-optimizer [`StmtIndex`] bucket probes with [`AnchorFilter`]
-    /// narrowing and the negative [`MatchCache`] (the PR-4 machinery).
-    ///
-    /// [`AnchorFilter`]: crate::AnchorFilter
-    Indexed,
     /// The catalog-wide [`FusedAutomaton`]: every registered anchor
     /// clause compiled into one shared trie, one classification pass
     /// admitting all optimizers per statement at once.
@@ -40,22 +36,10 @@ pub enum MatcherKind {
 }
 
 impl MatcherKind {
-    /// Parses the CLI/environment spelling (`fused`/`indexed`/`scan`,
-    /// case-insensitive).
-    pub fn parse(s: &str) -> Option<MatcherKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "fused" => Some(MatcherKind::Fused),
-            "indexed" => Some(MatcherKind::Indexed),
-            "scan" => Some(MatcherKind::Scan),
-            _ => None,
-        }
-    }
-
     /// The canonical spelling, for traces and reports.
     pub fn as_str(self) -> &'static str {
         match self {
             MatcherKind::Scan => "scan",
-            MatcherKind::Indexed => "indexed",
             MatcherKind::Fused => "fused",
         }
     }
@@ -100,12 +84,12 @@ pub struct ApplyReport {
     /// Edges re-derived (or rebuilt, for full refreshes) across all
     /// dependence-graph refreshes.
     pub dep_edges_added: usize,
-    /// Anchor candidates the statement index excluded without a visit
-    /// (they could never carry the clause's pinned opcode). Zero when the
-    /// indexed searcher is off.
+    /// Anchor candidates the fused posting excluded without a visit
+    /// (they could never satisfy the anchor clause's opcode or class
+    /// constraints). Zero under the scan matcher.
     pub candidates_pruned: u64,
-    /// Anchor candidates the negative match cache skipped (a remembered
-    /// first-clause rejection no later edit invalidated).
+    /// Always 0: the negative match cache this counted is gone. Kept so
+    /// existing readers of the report keep compiling.
     pub cache_hits: u64,
     /// How many candidate bindings each PRECOND dependence clause killed,
     /// indexed by clause position in the Depend section. A clause kills a
@@ -120,18 +104,18 @@ pub struct ApplyReport {
 /// Per-rung degradation-ladder fall counts for one `apply` run.
 ///
 /// The ladder replaces hard aborts with progressively cheaper-to-trust
-/// strategies: indexed candidate enumeration falls back to the
+/// strategies: fused candidate enumeration falls back to the
 /// authoritative scan (`stale_order`), a failed incremental dependence
 /// update falls back to a full re-analysis (`dep_update_failed`), and a
 /// verifier-caught graph divergence is healed by adopting the fresh
 /// analysis and rebuilding the derived caches (`dep_divergence`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DegradeStats {
-    /// Indexed candidate enumeration met a bucket member with unknown
+    /// Fused candidate enumeration met a posting member with unknown
     /// program order and bowed out to the scan path.
     pub stale_order: u64,
     /// The verifier caught the maintained graph diverging; the run
-    /// adopted the fresh analysis and rebuilt index + match caches.
+    /// adopted the fresh analysis and reclassified the automaton.
     pub dep_divergence: u64,
     /// `DepGraph::update` failed; the run fell back to a full analysis.
     pub dep_update_failed: u64,
@@ -181,10 +165,8 @@ pub struct Driver<'o> {
     /// caller usually derives it as k× the original program size.
     pub max_stmts: Option<usize>,
     /// Which candidate-enumeration machinery to search with — the fused
-    /// catalog automaton, the per-optimizer [`StmtIndex`], or full
-    /// program scans. Identical bindings in every mode; defaults from
-    /// [`matcher_default`] (`GENESIS_MATCHER`, falling back to the
-    /// legacy `GENESIS_INDEXED_SEARCH` toggle). Index and automaton are
+    /// catalog automaton (the default) or full program scans (the
+    /// reference). Identical bindings in both modes. The automaton is
     /// only consulted while `recompute_deps` keeps program order fresh.
     pub matcher: MatcherKind,
     /// Degrade instead of hard-aborting on dependence-maintenance
@@ -227,7 +209,7 @@ impl<'o> Driver<'o> {
             timeout_ms: None,
             fuel: None,
             max_stmts: None,
-            matcher: matcher_default(),
+            matcher: MatcherKind::Fused,
             degraded_recovery: false,
             fault: None,
             recorder: None,
@@ -319,12 +301,10 @@ impl<'o> Driver<'o> {
     }
 
     /// The full cached-state entry point: runs the optimizer per `mode`
-    /// while reusing *and maintaining* every piece of session search
-    /// state in `caches` — the dependence graph, the statement index, and
-    /// the per-optimizer negative match caches and anchor filters. Each
-    /// committed delta is replayed into every live structure; any exit
-    /// that cannot argue a structure's consistency drops it instead of
-    /// publishing it back.
+    /// while reusing *and maintaining* the session search state in
+    /// `caches` — the dependence graph and the fused automaton. Each
+    /// committed delta is replayed into both; any exit that cannot argue
+    /// a structure's consistency drops it instead of publishing it back.
     ///
     /// # Errors
     ///
@@ -360,36 +340,16 @@ impl<'o> Driver<'o> {
         // scan from the top. Set from the incremental updater's dirty
         // frontier after each committed application.
         let mut resume_pt: Option<StmtId> = None;
-        // Per-clause anchor filters, computed once per optimizer and
-        // parked in the session caches across calls (indexed mode; the
-        // fused automaton embeds the same filters in its trie).
-        let filters =
-            (self.matcher == MatcherKind::Indexed).then(|| caches.filters_for(self.opt));
-        // Whether this optimizer can be served from an index bucket at
-        // all; building one it cannot consult is pure overhead. The index
-        // also needs fresh program order (`deps.order_of`) to keep
-        // candidate enumeration identical to a scan, so consultation
-        // stays off in stale-graph mode — a stale order discovered
-        // mid-bucket degrades to the scan (`search.degraded.stale_order`).
-        let consult_index = self.recompute_deps
-            && filters
-                .as_ref()
-                .is_some_and(|fs| fs.iter().flatten().any(|f| f.narrows()));
-        // A session-carried index is adopted and kept fresh by delta
-        // replay even when this optimizer cannot consult it — otherwise
-        // it would silently go stale for the next optimizer that can.
-        let mut sidx = match caches.index.take() {
-            Some(ix) => Some(ix),
-            None => consult_index.then(|| StmtIndex::build(prog)),
-        };
-        let mut mcache = (self.matcher != MatcherKind::Scan)
-            .then(|| caches.take_match_cache(self.opt));
         // The fused automaton: adopted from the session (which builds it
         // over the whole catalog) or built here over just this optimizer
-        // for the standalone-driver case. Same ordering contract as the
-        // index, so the same `recompute_deps` gate applies. A
-        // session-carried automaton is kept fresh by delta replay even
-        // under another matcher, like the index above.
+        // for the standalone-driver case. Keeping candidate enumeration
+        // identical to a scan needs fresh program order
+        // (`deps.order_of`), so consultation stays off in stale-graph
+        // mode — a stale order discovered mid-posting degrades to the
+        // scan (`search.degraded.stale_order`). A session-carried
+        // automaton is kept fresh by delta replay even under the scan
+        // matcher, so it never silently goes stale for the next fused
+        // apply.
         let use_fused = self.matcher == MatcherKind::Fused && self.recompute_deps;
         let mut auto = match caches.automaton.take() {
             Some(a) => Some(a),
@@ -454,7 +414,13 @@ impl<'o> Driver<'o> {
             let search_started = Instant::now();
             let mut pattern_ns = 0u64;
             let found = {
-                let mut s = Searcher::new(prog, &deps, self.opt);
+                let searcher = || {
+                    let mut s = Searcher::new(prog, &deps, self.opt);
+                    s.fused = fused_id.and_then(|id| auto.as_ref().map(|a| (a, id)));
+                    s.time_pattern = rec.is_some();
+                    s
+                };
+                let mut s = searcher();
                 match mode {
                     ApplyMode::AtPoint(p) => s.at_point = Some(p),
                     ApplyMode::AtPointUnchecked(p) => {
@@ -464,29 +430,8 @@ impl<'o> Driver<'o> {
                     _ => {}
                 }
                 s.resume_from = resume_pt;
-                s.index = if consult_index { sidx.as_ref() } else { None };
-                s.fused = fused_id.and_then(|id| auto.as_ref().map(|a| (a, id)));
-                s.filters = filters.as_deref().map(|v| v.as_slice());
-                s.cache = mcache.as_mut();
-                s.time_pattern = rec.is_some();
                 let mut found = s.find_first()?;
-                report.cost += s.cost;
-                totals.cost += s.cost;
-                report.candidates_pruned += s.candidates_pruned;
-                report.cache_hits += s.cache_hits;
-                totals.candidates_pruned += s.candidates_pruned;
-                totals.cache_hits += s.cache_hits;
-                totals.fused_dispatched += s.fused_dispatched;
-                report.degraded.stale_order += s.degraded_stale_order;
-                totals.degraded_stale_order += s.degraded_stale_order;
-                report.strategies_used.append(&mut s.strategies_used);
-                merge_rejects(&mut report.dep_clause_rejects, &s.dep_rejects);
-                merge_rejects(&mut totals.rejects, &s.dep_rejects);
-                totals.funnel_classified += s.funnel_classified;
-                totals.funnel_admitted += s.funnel_admitted;
-                totals.funnel_matched += s.funnel_matched;
-                totals.funnel_dep_checked += s.funnel_dep_checked;
-                pattern_ns += s.pattern_ns;
+                pattern_ns += totals.absorb(&mut report, &mut s);
                 if found.is_none() && resume_pt.is_some() {
                     // Safety net: the frontier filter only rescans anchors
                     // at or after the dirty frontier, but a pattern with
@@ -494,31 +439,10 @@ impl<'o> Driver<'o> {
                     // an earlier anchor. Before declaring a fixpoint,
                     // sweep the complement — the two passes together
                     // cover every anchor exactly once.
-                    let mut s = Searcher::new(prog, &deps, self.opt);
+                    let mut s = searcher();
                     s.stop_before = resume_pt;
-                    s.index = if consult_index { sidx.as_ref() } else { None };
-                    s.fused = fused_id.and_then(|id| auto.as_ref().map(|a| (a, id)));
-                    s.filters = filters.as_deref().map(|v| v.as_slice());
-                    s.cache = mcache.as_mut();
-                    s.time_pattern = rec.is_some();
                     found = s.find_first()?;
-                    report.cost += s.cost;
-                    totals.cost += s.cost;
-                    report.candidates_pruned += s.candidates_pruned;
-                    report.cache_hits += s.cache_hits;
-                    totals.candidates_pruned += s.candidates_pruned;
-                    totals.cache_hits += s.cache_hits;
-                    totals.fused_dispatched += s.fused_dispatched;
-                    report.degraded.stale_order += s.degraded_stale_order;
-                    totals.degraded_stale_order += s.degraded_stale_order;
-                    report.strategies_used.append(&mut s.strategies_used);
-                    merge_rejects(&mut report.dep_clause_rejects, &s.dep_rejects);
-                    merge_rejects(&mut totals.rejects, &s.dep_rejects);
-                    totals.funnel_classified += s.funnel_classified;
-                    totals.funnel_admitted += s.funnel_admitted;
-                    totals.funnel_matched += s.funnel_matched;
-                    totals.funnel_dep_checked += s.funnel_dep_checked;
-                    pattern_ns += s.pattern_ns;
+                    pattern_ns += totals.absorb(&mut report, &mut s);
                 }
                 found
             };
@@ -661,15 +585,9 @@ impl<'o> Driver<'o> {
                 }
             }
 
-            // Replay the committed delta into the search index and drop
-            // the cached verdicts of every touched statement — same
+            // Replay the committed delta into the automaton — same
             // journal, same O(|delta|) contract as `DepGraph::update`.
-            // Parked caches of *other* optimizers see the same replay, so
-            // they stay truthful while this optimizer edits the program.
             if !delta.is_empty() {
-                if let Some(ix) = sidx.as_mut() {
-                    ix.update(prog, &delta);
-                }
                 if let Some(a) = auto.as_mut() {
                     let span = Span::open(rec.as_ref(), "automaton.update", &[]);
                     a.update(prog, &delta);
@@ -678,10 +596,6 @@ impl<'o> Driver<'o> {
                     totals.fused_visits += visits;
                     span.close(&[("visits", Value::u(visits))]);
                 }
-                if let Some(c) = mcache.as_mut() {
-                    c.invalidate(&delta);
-                }
-                caches.invalidate_match_caches(&delta);
             }
 
             let one_shot = !matches!(mode, ApplyMode::AllPoints);
@@ -797,7 +711,7 @@ impl<'o> Driver<'o> {
                             current = true;
                         } else if self.degraded_recovery {
                             // Ladder: adopt the fresh graph and rebuild
-                            // every structure whose delta-replay argument
+                            // the automaton, whose delta-replay argument
                             // the divergence just voided.
                             report.degraded.dep_divergence += 1;
                             totals.degraded_divergence += 1;
@@ -814,41 +728,19 @@ impl<'o> Driver<'o> {
                             deps = fresh;
                             resume_pt = None;
                             current = true;
-                            if let Some(ix) = sidx.as_mut() {
-                                *ix = StmtIndex::build(prog);
-                            }
                             if let Some(a) = auto.as_mut() {
                                 a.reclassify(prog);
                                 let (states, visits) = a.take_stats();
                                 totals.fused_states += states;
                                 totals.fused_visits += visits;
                             }
-                            if let Some(c) = mcache.as_mut() {
-                                c.clear();
-                            }
-                            caches.drop_match_verdicts();
                         } else {
-                            if std::env::var("GENESIS_DEBUG_DEPS").is_ok() {
-                                eprintln!("delta: {delta:?}");
-                                eprintln!("program:\n{}", gospel_ir::DisplayProgram(prog));
-                                for s in prog.iter() {
-                                    eprintln!("  {s}: {:?}", prog.quad(s));
-                                }
-                                for e in deps.edges() {
-                                    if !fresh.edges().contains(e) {
-                                        eprintln!("incr-only: {e:?}");
-                                    }
-                                }
-                                for e in fresh.edges() {
-                                    if !deps.edges().contains(e) {
-                                        eprintln!("fresh-only: {e:?}");
-                                    }
-                                }
-                            }
                             return Err(RunError::Analyze(format!(
                                 "incremental dependence graph diverged from full \
-                                 analysis after application {} of {}",
-                                report.applications, self.opt.name
+                                 analysis after application {} of {}: {}",
+                                report.applications,
+                                self.opt.name,
+                                edge_diff(&deps, &fresh)
                             )));
                         }
                     }
@@ -874,70 +766,13 @@ impl<'o> Driver<'o> {
         if current {
             caches.deps = Some(deps);
         }
-        // The index, automaton and match cache saw every committed delta
-        // replayed into them (and are rebuilt outright when the ladder
-        // voids the replay argument), so they are exact for the final
-        // program even when the dependence graph is not.
-        caches.index = sidx.take();
+        // The automaton saw every committed delta replayed into it (and is
+        // reclassified outright when the ladder voids the replay
+        // argument), so it is exact for the final program even when the
+        // dependence graph is not.
         caches.automaton = auto.take();
-        if let Some(c) = mcache.take() {
-            caches.store_match_cache(&self.opt.name, c);
-        }
         Ok(report)
     }
-}
-
-/// Audit helper for [`SessionCaches::audit`]: runs `opt`'s full search
-/// twice — once consulting a clone of `cache`'s remembered rejections,
-/// once from scratch — and reports whether both find the same bindings
-/// in the same order.
-pub(crate) fn bindings_agree_with_cache(
-    prog: &Program,
-    deps: &DepGraph,
-    opt: &CompiledOptimizer,
-    cache: &MatchCache,
-) -> Result<bool, RunError> {
-    let mut cached = cache.clone();
-    let mut s = Searcher::new(prog, deps, opt);
-    s.cache = Some(&mut cached);
-    let with_cache = s.find_all(usize::MAX)?;
-    let mut s = Searcher::new(prog, deps, opt);
-    let without = s.find_all(usize::MAX)?;
-    Ok(with_cache == without)
-}
-
-/// The session-wide default for [`Driver::matcher`]: `GENESIS_MATCHER`
-/// (`fused`/`indexed`/`scan`) when set to a recognized value, else the
-/// legacy `GENESIS_INDEXED_SEARCH` toggle (`0`/`off`/`false` → scan,
-/// any other value → indexed), else fused. Read once per process; the
-/// CI differential suite runs all three settings.
-pub fn matcher_default() -> MatcherKind {
-    static DEFAULT: std::sync::OnceLock<MatcherKind> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        if let Some(kind) = std::env::var("GENESIS_MATCHER")
-            .ok()
-            .and_then(|v| MatcherKind::parse(&v))
-        {
-            return kind;
-        }
-        match std::env::var("GENESIS_INDEXED_SEARCH") {
-            Ok(v) => {
-                let v = v.trim();
-                if v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false") {
-                    MatcherKind::Scan
-                } else {
-                    MatcherKind::Indexed
-                }
-            }
-            Err(_) => MatcherKind::Fused,
-        }
-    })
-}
-
-/// Legacy spelling of [`matcher_default`]: true for any non-scan
-/// matcher.
-pub fn indexed_search_default() -> bool {
-    matcher_default() != MatcherKind::Scan
 }
 
 fn analyze(prog: &Program) -> Result<DepGraph, RunError> {
@@ -946,6 +781,31 @@ fn analyze(prog: &Program) -> Result<DepGraph, RunError> {
 
 fn ns_since(t: Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A bounded account of how an incrementally maintained graph differs
+/// from a fresh analysis: how many edges only one side has, plus the
+/// first few of each.
+fn edge_diff(incremental: &DepGraph, fresh: &DepGraph) -> String {
+    const SHOWN: usize = 3;
+    let only = |a: &DepGraph, b: &DepGraph| -> (usize, Vec<String>) {
+        let theirs: HashSet<String> = b.edges().iter().map(|e| format!("{e:?}")).collect();
+        let mine: Vec<String> = a
+            .edges()
+            .iter()
+            .map(|e| format!("{e:?}"))
+            .filter(|e| !theirs.contains(e))
+            .collect();
+        let n = mine.len();
+        (n, mine.into_iter().take(SHOWN).collect())
+    };
+    let (n_incr, incr) = only(incremental, fresh);
+    let (n_fresh, fresh) = only(fresh, incremental);
+    format!(
+        "{n_incr} incremental-only edge(s) [{}], {n_fresh} fresh-only edge(s) [{}]",
+        incr.join("; "),
+        fresh.join("; ")
+    )
 }
 
 fn merge_rejects(into: &mut Vec<u64>, from: &[u64]) {
@@ -990,7 +850,6 @@ struct RunTotals {
     edges_dropped: u64,
     edges_added: u64,
     candidates_pruned: u64,
-    cache_hits: u64,
     fused_states: u64,
     fused_visits: u64,
     fused_dispatched: u64,
@@ -1028,7 +887,6 @@ impl RunTotals {
             edges_dropped: 0,
             edges_added: 0,
             candidates_pruned: 0,
-            cache_hits: 0,
             fused_states: 0,
             fused_visits: 0,
             fused_dispatched: 0,
@@ -1042,6 +900,26 @@ impl RunTotals {
             cost: Cost::default(),
             rejects: Vec::new(),
         }
+    }
+
+    /// Folds one finished search's counters into the run report and these
+    /// trace totals; returns the search's pattern-phase nanoseconds.
+    fn absorb(&mut self, report: &mut ApplyReport, s: &mut Searcher<'_>) -> u64 {
+        report.cost += s.cost;
+        self.cost += s.cost;
+        report.candidates_pruned += s.candidates_pruned;
+        self.candidates_pruned += s.candidates_pruned;
+        self.fused_dispatched += s.fused_dispatched;
+        report.degraded.stale_order += s.degraded_stale_order;
+        self.degraded_stale_order += s.degraded_stale_order;
+        report.strategies_used.append(&mut s.strategies_used);
+        merge_rejects(&mut report.dep_clause_rejects, &s.dep_rejects);
+        merge_rejects(&mut self.rejects, &s.dep_rejects);
+        self.funnel_classified += s.funnel_classified;
+        self.funnel_admitted += s.funnel_admitted;
+        self.funnel_matched += s.funnel_matched;
+        self.funnel_dep_checked += s.funnel_dep_checked;
+        s.pattern_ns
     }
 }
 
@@ -1115,12 +993,6 @@ impl Drop for RunTotals {
             if n > 0 {
                 items.push((Name::Borrowed(name), n));
             }
-        }
-        if self.cache_hits > 0 {
-            items.push((
-                Name::Owned(format!("search.cache_hit.{}", self.opt_name)),
-                self.cache_hits,
-            ));
         }
         if self.fused_dispatched > 0 {
             items.push((
@@ -1307,6 +1179,29 @@ mod tests {
             before,
             "the in-flight journal must be replayed before the panic escapes"
         );
+    }
+
+    #[test]
+    fn strict_divergence_reports_a_bounded_edge_diff() {
+        // A skipped refresh leaves the maintained graph stale; with the
+        // verifier on and no recovery ladder, the run must fail and name
+        // the disagreeing edges, a few per side.
+        let mut prog =
+            minifor("program p\ninteger x, y, z\nx = 3\ny = x\nz = y\nwrite z\nend").unwrap();
+        let opt = ctp();
+        let mut d = Driver::new(&opt);
+        d.verify_deps = true;
+        d.fault = Some(crate::fault::FaultPlan::new(
+            crate::fault::FaultKind::CorruptDeps,
+        ));
+        let err = d.apply(&mut prog, ApplyMode::AllPoints).unwrap_err();
+        let RunError::Analyze(msg) = err else {
+            panic!("expected an analysis error, got {err:?}");
+        };
+        assert!(msg.contains("diverged from full analysis"), "{msg}");
+        assert!(msg.contains("incremental-only edge(s) [DepEdge"), "{msg}");
+        assert!(msg.contains("fresh-only edge(s) ["), "{msg}");
+        assert!(msg.matches("DepEdge").count() <= 6, "{msg}");
     }
 
     #[test]

@@ -56,24 +56,19 @@ pub mod emit;
 mod error;
 mod explain;
 pub mod fault;
-pub mod index;
 mod rt;
 mod session;
 mod solve;
 
-pub use automaton::{AdmissionVerdict, FusedAutomaton};
+pub use automaton::{anchor_filter, AdmissionVerdict, AnchorFilter, FusedAutomaton};
 pub use batch::{run_batch, BatchItem, BatchOutcome, BatchPolicy, BatchStatus, BatchSuccess};
 pub use caches::SessionCaches;
 pub use compile::{generate, CompiledClause, CompiledOptimizer, Strategy};
 pub use cost::Cost;
-pub use driver::{
-    indexed_search_default, matcher_default, ApplyMode, ApplyReport, DegradeStats, Driver,
-    MatchSet, MatcherKind,
-};
+pub use driver::{ApplyMode, ApplyReport, DegradeStats, Driver, MatchSet, MatcherKind};
 pub use error::{GenerateError, RunError};
 pub use explain::{explain, Blocker, CandidateExplanation, ExplainReport, ENV_CAP};
 pub use fault::{FaultKind, FaultPlan};
-pub use index::{anchor_filter, AnchorFilter, MatchCache, StmtIndex};
 pub use rt::{Bindings, RtVal};
 pub use session::{Session, SessionOptions};
 

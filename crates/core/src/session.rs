@@ -37,10 +37,9 @@ pub struct SessionOptions {
     /// multiple of its statement count at the start of the call.
     pub max_growth: Option<u32>,
     /// Which candidate-enumeration machinery drives searches — the fused
-    /// catalog automaton, the per-optimizer statement index, or full
-    /// scans (see [`MatcherKind`]); bindings are identical in every
-    /// mode. Defaults from [`crate::matcher_default`] (`GENESIS_MATCHER`
-    /// / legacy `GENESIS_INDEXED_SEARCH` environment toggles).
+    /// catalog automaton (the default) or full scans, the reference it
+    /// must agree with (see [`MatcherKind`]); bindings are identical in
+    /// both modes.
     pub matcher: MatcherKind,
     /// Degrade instead of hard-aborting on dependence-maintenance
     /// trouble (see [`crate::Driver::degraded_recovery`]). On by default
@@ -65,7 +64,7 @@ impl Default for SessionOptions {
             timeout_ms: None,
             fuel: None,
             max_growth: None,
-            matcher: crate::driver::matcher_default(),
+            matcher: MatcherKind::Fused,
             degraded_recovery: true,
             trace_sample: 1,
         }
@@ -92,9 +91,8 @@ pub struct Session {
     options: SessionOptions,
     log: Vec<SessionEvent>,
     fault: Option<FaultPlan>,
-    /// Search state carried across applies — the dependence graph, the
-    /// statement index, and per-optimizer match caches and anchor
-    /// filters. The driver maintains all of it by delta replay; see
+    /// Search state carried across applies — the dependence graph and the
+    /// fused automaton. The driver maintains both by delta replay; see
     /// [`SessionCaches`].
     caches: SessionCaches,
     /// Structured-event sink handed to every driver this session runs.
@@ -125,9 +123,8 @@ impl Session {
 
     /// Registers a generated optimizer; it becomes selectable by name.
     /// Re-registering an existing name replaces the old specification
-    /// *and* drops its cached match verdicts, anchor filters, and
-    /// fused-automaton states — the old spec's remembered rejections and
-    /// compiled anchor tests must not answer for the new one.
+    /// *and* drops the fused automaton compiled from it — the old spec's
+    /// anchor tests must not answer for the new one.
     pub fn register(&mut self, opt: CompiledOptimizer) {
         self.caches.drop_optimizer(&opt.name);
         self.optimizers.retain(|o| o.name != opt.name);
@@ -334,17 +331,17 @@ mod tests {
     }
 
     #[test]
-    fn reregistering_a_name_drops_its_stale_negative_cache() {
-        // Spec A's anchor-local `opr_1 == opr_2` test is cacheable but not
-        // index-expressible, so a failed run parks real negative verdicts.
-        // Spec B under the same name matches exactly the statements A
-        // rejected — if A's parked cache answered for B, the match would
-        // be silently suppressed.
-        let reject_all = "OPTIMIZATION T\nTYPE\n  Stmt: S;\nPRECOND\n  Code_Pattern\n    \
-                          any S: S.opc == assign AND S.opr_1 == S.opr_2;\nACTION\n  \
-                          delete(S);\nEND";
-        let match_assign = "OPTIMIZATION T\nTYPE\n  Stmt: S;\nPRECOND\n  Code_Pattern\n    \
-                            any S: S.opc == assign;\nACTION\n  delete(S);\nEND";
+    fn reregistering_a_name_drops_its_stale_automaton() {
+        // Spec A anchors on assigns with a constant source, spec B under
+        // the same name on assigns with a variable source. If A's parked
+        // automaton answered for B, B's posting would be A's and the
+        // match would be silently suppressed.
+        let const_src = "OPTIMIZATION T\nTYPE\n  Stmt: S;\nPRECOND\n  Code_Pattern\n    \
+                         any S: S.opc == assign AND type(S.opr_2) == const;\nACTION\n  \
+                         delete(S);\nEND";
+        let var_src = "OPTIMIZATION T\nTYPE\n  Stmt: S;\nPRECOND\n  Code_Pattern\n    \
+                       any S: S.opc == assign AND type(S.opr_2) == var;\nACTION\n  \
+                       delete(S);\nEND";
         let compile_opt = |src: &str| {
             let (spec, info) = gospel_lang::parse_validated(src).unwrap();
             generate(spec, info).unwrap()
@@ -352,23 +349,22 @@ mod tests {
         let prog =
             gospel_frontend::compile("program p\ninteger x, y\nx = y\nwrite x\nend").unwrap();
         let mut s = Session::new(prog);
-        s.options_mut().matcher = MatcherKind::Indexed;
-        s.register(compile_opt(reject_all));
+        s.register(compile_opt(const_src));
         let r = s.apply("T", ApplyMode::AllPoints).unwrap();
         assert_eq!(r.applications, 0);
         assert!(
-            s.caches().has_match_cache("T"),
-            "the failed run must park its negative verdicts"
+            s.caches().automaton.is_some(),
+            "the fused run must park its automaton"
         );
-        s.register(compile_opt(match_assign));
+        s.register(compile_opt(var_src));
         assert!(
-            !s.caches().has_match_cache("T"),
-            "re-registration must drop the old spec's cache entries"
+            s.caches().automaton.is_none(),
+            "re-registration must drop the automaton compiled from the old spec"
         );
         let r = s.apply("T", ApplyMode::AllPoints).unwrap();
         assert_eq!(
             r.applications, 1,
-            "stale negative matches must not survive re-registration"
+            "stale anchor tests must not survive re-registration"
         );
     }
 

@@ -5,19 +5,19 @@
 //!
 //! 1. the fused automaton's posting for the optimizer (built once, then
 //!    maintained by [`FusedAutomaton::update`] delta replay),
-//! 2. the per-optimizer [`AnchorFilter`] admission through
-//!    [`StmtIndex::candidates`], and
-//! 3. a direct scan evaluating the filter's opcode and operand-class
-//!    tests against every live statement.
+//! 2. the per-optimizer [`AnchorFilter::admits`] predicate the scan
+//!    matcher's funnel accounting uses, applied to every live statement,
+//!    and
+//! 3. an independent scan evaluating the filter's opcode and
+//!    operand-class tests against every live statement.
 //!
 //! The undo round-trip must also hold: replaying a journal backwards and
 //! reclassifying restores the automaton to its original postings.
 //!
-//! Same generator shape as `index_props.rs`: the vendored proptest shim's
-//! deterministic RNG drives an imperative program grower, so every
-//! failure reproduces from its seed case.
+//! The vendored proptest shim's deterministic RNG drives an imperative
+//! program grower, so every failure reproduces from its seed case.
 
-use genesis::{anchor_filter, AnchorFilter, CompiledOptimizer, FusedAutomaton, StmtIndex};
+use genesis::{anchor_filter, AnchorFilter, CompiledOptimizer, FusedAutomaton};
 use gospel_ir::{
     AffineExpr, EditDelta, Opcode, Operand, OperandPos, Program, ProgramBuilder, Quad, StmtId, Sym,
 };
@@ -64,7 +64,7 @@ fn filters(opts: &[CompiledOptimizer]) -> Vec<Option<AnchorFilter>> {
         .collect()
 }
 
-/// The oracle: operand classification mirroring the index's bucketing
+/// The oracle: operand classification mirroring the trie's tests
 /// (`Const`/`Var`/`Elem`/`None` straight off the IR operand).
 fn class_of(o: &Operand) -> OperandClass {
     match o {
@@ -269,7 +269,6 @@ fn gen_batch(rng: &mut TestRng, prog: &mut Program, v: &Vars) -> EditDelta {
 /// against the current program.
 fn assert_admission_agrees(
     auto: &FusedAutomaton,
-    ix: &StmtIndex,
     opts: &[CompiledOptimizer],
     fs: &[Option<AnchorFilter>],
     prog: &Program,
@@ -288,15 +287,12 @@ fn assert_admission_agrees(
             panic!("{context}: {} has a narrowing anchor but no fused entry", opt.name)
         });
         let fused = sorted(auto.posting(id).to_vec());
-        let indexed = sorted(
-            ix.candidates(f)
-                .unwrap_or_else(|| panic!("{context}: {} filter lost its opcodes", opt.name)),
-        );
+        let admits = sorted(prog.iter().filter(|&s| f.admits(prog.quad(s))).collect());
         let scanned = sorted(scan_admitted(prog, f));
         prop_assert!(
-            fused == scanned && indexed == scanned,
-            "{context}: admission disagrees for {}\n  fused:   {fused:?}\n  indexed: \
-             {indexed:?}\n  scanned: {scanned:?}\nprogram:\n{}",
+            fused == scanned && admits == scanned,
+            "{context}: admission disagrees for {}\n  fused:   {fused:?}\n  admits:  \
+             {admits:?}\n  scanned: {scanned:?}\nprogram:\n{}",
             opt.name,
             gospel_ir::DisplayProgram(prog)
         );
@@ -316,13 +312,11 @@ proptest! {
         gospel_ir::validate(&prog).expect("generator produced an invalid program");
 
         let mut auto = FusedAutomaton::build(&opts, &prog);
-        let mut ix = StmtIndex::build(&prog);
-        assert_admission_agrees(&auto, &ix, &opts, &fs, &prog, &format!("seed {seed} initial"))?;
+        assert_admission_agrees(&auto, &opts, &fs, &prog, &format!("seed {seed} initial"))?;
 
         for batch in 0..1 + rng.below(3) {
             let delta = gen_batch(&mut rng, &mut prog, &vars);
             auto.update(&prog, &delta);
-            ix.update(&prog, &delta);
             let ctx = format!(
                 "seed {seed} batch {batch} ({} ops, structural: {})",
                 delta.len(),
@@ -333,7 +327,7 @@ proptest! {
                 "{ctx}: incrementally maintained automaton diverged from a rebuild\nprogram:\n{}",
                 gospel_ir::DisplayProgram(&prog)
             );
-            assert_admission_agrees(&auto, &ix, &opts, &fs, &prog, &ctx)?;
+            assert_admission_agrees(&auto, &opts, &fs, &prog, &ctx)?;
         }
     }
 

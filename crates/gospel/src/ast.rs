@@ -148,8 +148,10 @@ pub struct MemExpr {
 pub enum SetExpr {
     /// A loop variable's body, or a set bound by an `all` clause.
     Named(String),
-    /// `path(a, b)`: statements on the program-order path between two
-    /// statements.
+    /// `path(a, b)`: statements on a control-flow path from `a` to `b` —
+    /// the lexical range from `a` to `b`, both inclusive, plus the body
+    /// of the outermost loop that encloses `b` but not `a` (its back edge
+    /// reaches `b` again from statements that follow `b` lexically).
     Path(ValExpr, ValExpr),
     /// Set union.
     Union(Box<SetExpr>, Box<SetExpr>),

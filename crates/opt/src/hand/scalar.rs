@@ -97,12 +97,22 @@ fn cpp_step(prog: &mut Program, deps: &DepGraph) -> bool {
             if other_def_reaches_same_operand(prog, deps, si, sj, e.dst_pos) {
                 continue;
             }
-            // The copied variable must not be redefined on the textual path
-            // from Si to Sj (the spec's mem(Sm, path(Si, Sj)) ∧ anti test).
+            // The copied variable must not be redefined on a path from Si
+            // to Sj (the spec's mem(Sm, path(Si, Sj)) ∧ anti test): the
+            // textual range, plus the body of the outermost loop around
+            // Sj but not Si, which reaches Sj again over its back edge.
             // Sj itself reads before it writes, so it does not count as an
             // intervening redefinition.
-            let in_path =
-                |s: StmtId| order[&si] <= order[&s] && order[&s] <= order[&sj] && s != sj;
+            let loops = deps.loops();
+            let back_edge_loop = loops
+                .nest_of(sj)
+                .into_iter()
+                .find(|&l| !loops.contains(l, si));
+            let in_path = |s: StmtId| {
+                s != sj
+                    && ((order[&si] <= order[&s] && order[&s] <= order[&sj])
+                        || back_edge_loop.is_some_and(|l| loops.contains(l, s)))
+            };
             let redefined = deps.from(si).any(|e2| {
                 e2.kind == DepKind::Anti && eq.matches(&e2.dirvec) && in_path(e2.dst)
             });

@@ -8,8 +8,11 @@
 //! runs must produce the same program text, the same application count,
 //! dependence graphs that agree with a from-scratch analysis, and the
 //! same execution outputs on a deterministic battery of input vectors.
+//!
+//! Every check runs under both matchers — the fused automaton and the
+//! reference scan — and the two must also land on the same program.
 
-use genesis::{ApplyMode, CompiledOptimizer, Driver};
+use genesis::{ApplyMode, CompiledOptimizer, Driver, MatcherKind};
 use gospel_dep::DepGraph;
 use gospel_exec::{run_limited, ExecValue, Trace};
 use gospel_ir::{DisplayProgram, Program};
@@ -24,6 +27,9 @@ const STEP_LIMIT: u64 = 2_000_000;
 /// generator reaches shapes (deep expression nests, array aliasing
 /// patterns) the hand-written workloads do not.
 const GENERATED: u64 = 4;
+/// The matchers every differential check runs under: the default fused
+/// automaton and the scan it must agree with.
+const MATCHERS: [MatcherKind; 2] = [MatcherKind::Fused, MatcherKind::Scan];
 
 /// The differential corpus: the ten fixed workloads plus `GENERATED`
 /// seeded random programs.
@@ -50,11 +56,13 @@ fn run_mode(
     prog: &Program,
     opt: &CompiledOptimizer,
     mode: ApplyMode,
+    matcher: MatcherKind,
     incremental: bool,
 ) -> (Program, usize, Option<DepGraph>) {
     let mut work = prog.clone();
     let mut cache = None;
     let mut d = Driver::new(opt);
+    d.matcher = matcher;
     d.incremental_deps = incremental;
     let report = d
         .apply_cached(&mut work, mode, &mut cache)
@@ -98,48 +106,58 @@ fn assert_same_exec(wname: &str, oname: &str, full: &Program, incr: &Program) {
     }
 }
 
-/// The headline differential: every optimizer × every workload, full vs
-/// incremental drivers.
+/// The headline differential: every optimizer × every workload × both
+/// matchers, full vs incremental drivers.
 #[test]
 fn full_and_incremental_drivers_agree_on_every_optimizer_and_workload() {
     let opts = gospel_opts::catalog().expect("catalog generates");
     for (wname, prog) in workloads() {
         for opt in &opts {
             let mode = natural_mode(opt);
-            let (full, apps_f, cache_f) = run_mode(&prog, opt, mode, false);
-            let (incr, apps_i, cache_i) = run_mode(&prog, opt, mode, true);
+            let mut per_matcher: Vec<String> = Vec::with_capacity(MATCHERS.len());
+            for matcher in MATCHERS {
+                let m = matcher.as_str();
+                let (full, apps_f, cache_f) = run_mode(&prog, opt, mode, matcher, false);
+                let (incr, apps_i, cache_i) = run_mode(&prog, opt, mode, matcher, true);
 
-            let ftext = DisplayProgram(&full).to_string();
-            let itext = DisplayProgram(&incr).to_string();
-            assert_eq!(
-                ftext, itext,
-                "{wname}/{}: full vs incremental programs differ",
-                opt.name
-            );
-            assert_eq!(
-                apps_f, apps_i,
-                "{wname}/{}: application counts differ",
-                opt.name
-            );
+                let ftext = DisplayProgram(&full).to_string();
+                let itext = DisplayProgram(&incr).to_string();
+                assert_eq!(
+                    ftext, itext,
+                    "{wname}/{}/{m}: full vs incremental programs differ",
+                    opt.name
+                );
+                assert_eq!(
+                    apps_f, apps_i,
+                    "{wname}/{}/{m}: application counts differ",
+                    opt.name
+                );
 
-            // Whenever a mode kept its cache current, the cached graph
-            // must agree with a from-scratch analysis of the final
-            // program — the incremental updater may not drift.
-            for (label, cache, final_prog) in
-                [("full", &cache_f, &full), ("incremental", &cache_i, &incr)]
-            {
-                if let Some(g) = cache {
-                    let fresh = DepGraph::analyze(final_prog)
-                        .unwrap_or_else(|e| panic!("{wname}/{}: {e}", opt.name));
-                    assert!(
-                        g.agrees_with(&fresh),
-                        "{wname}/{}: {label} cache disagrees with fresh analysis",
-                        opt.name
-                    );
+                // Whenever a mode kept its cache current, the cached graph
+                // must agree with a from-scratch analysis of the final
+                // program — the incremental updater may not drift.
+                for (label, cache, final_prog) in
+                    [("full", &cache_f, &full), ("incremental", &cache_i, &incr)]
+                {
+                    if let Some(g) = cache {
+                        let fresh = DepGraph::analyze(final_prog)
+                            .unwrap_or_else(|e| panic!("{wname}/{}: {e}", opt.name));
+                        assert!(
+                            g.agrees_with(&fresh),
+                            "{wname}/{}/{m}: {label} cache disagrees with fresh analysis",
+                            opt.name
+                        );
+                    }
                 }
-            }
 
-            assert_same_exec(&wname, &opt.name, &full, &incr);
+                assert_same_exec(&wname, &format!("{}/{m}", opt.name), &full, &incr);
+                per_matcher.push(itext);
+            }
+            assert!(
+                per_matcher.windows(2).all(|w| w[0] == w[1]),
+                "{wname}/{}: fused vs scan programs differ",
+                opt.name
+            );
         }
     }
 }
@@ -151,24 +169,35 @@ fn full_and_incremental_drivers_agree_on_every_optimizer_and_workload() {
 fn chained_catalog_sequence_is_mode_independent() {
     let opts = gospel_opts::catalog().expect("catalog generates");
     for (wname, prog) in workloads() {
-        let run_chain = |incremental: bool| -> Program {
+        let run_chain = |matcher: MatcherKind, incremental: bool| -> Program {
             let mut work = prog.clone();
             let mut cache = None;
             for opt in &opts {
                 let mut d = Driver::new(opt);
+                d.matcher = matcher;
                 d.incremental_deps = incremental;
                 d.apply_cached(&mut work, natural_mode(opt), &mut cache)
                     .unwrap_or_else(|e| panic!("{wname}/{}: {e}", opt.name));
             }
             work
         };
-        let full = run_chain(false);
-        let incr = run_chain(true);
-        assert_eq!(
-            DisplayProgram(&full).to_string(),
-            DisplayProgram(&incr).to_string(),
-            "{wname}: chained sequence differs between modes"
+        let mut per_matcher: Vec<String> = Vec::with_capacity(MATCHERS.len());
+        for matcher in MATCHERS {
+            let m = matcher.as_str();
+            let full = run_chain(matcher, false);
+            let incr = run_chain(matcher, true);
+            let itext = DisplayProgram(&incr).to_string();
+            assert_eq!(
+                DisplayProgram(&full).to_string(),
+                itext,
+                "{wname}/{m}: chained sequence differs between modes"
+            );
+            assert_same_exec(&wname, &format!("catalog-chain/{m}"), &full, &incr);
+            per_matcher.push(itext);
+        }
+        assert!(
+            per_matcher.windows(2).all(|w| w[0] == w[1]),
+            "{wname}: chained sequence differs between fused and scan"
         );
-        assert_same_exec(&wname, "catalog-chain", &full, &incr);
     }
 }

@@ -38,6 +38,39 @@ fn every_optimizer_preserves_suite_semantics() {
     }
 }
 
+/// Copy propagation must not forward `a = b` into a loop that redefines
+/// `b` after the use: the redefinition reaches the use again over the
+/// back edge, so it lies on `path(a = b, use)` although it follows the
+/// use lexically.
+#[test]
+fn cpp_respects_redefinitions_over_a_loop_back_edge() {
+    let src = "program p\ninteger a, b, c, d, i\na = b\ndo i = 1, 22\n\
+               c = a + 1\nb = 66\nend do\nd = c\nwrite d\nend";
+    let prog = gospel_frontend::compile(src).unwrap();
+    let baseline = trace_of(&prog, "input");
+    let cpp = gospel_opts::by_name("CPP");
+    for matcher in [genesis::MatcherKind::Fused, genesis::MatcherKind::Scan] {
+        let mut work = prog.clone();
+        let mut d = Driver::new(&cpp);
+        d.matcher = matcher;
+        d.apply(&mut work, natural_mode(&cpp)).unwrap();
+        let after = trace_of(&work, "generated CPP output");
+        assert!(
+            baseline.same_outputs(&after),
+            "{}: CPP changed observable behaviour:\n  before: {:?}\n  after:  {:?}",
+            matcher.as_str(),
+            baseline.outputs,
+            after.outputs
+        );
+    }
+    let mut work = prog.clone();
+    gospel_opts::hand::cpp(&mut work).unwrap();
+    assert!(
+        baseline.same_outputs(&trace_of(&work, "hand-coded CPP output")),
+        "hand-coded CPP changed observable behaviour"
+    );
+}
+
 #[test]
 fn chained_pipeline_preserves_suite_semantics() {
     for (name, prog) in gospel_workloads::suite() {
