@@ -11,7 +11,10 @@
 //! 2. **translation-validates** it: the program is executed before and
 //!    after on a deterministic, seeded input-vector set
 //!    ([`gospel_workloads::generator::input_vectors`]) and the `write`
-//!    traces must agree bit for bit.
+//!    traces must agree bit for bit. Each program is executed at most
+//!    once per vector: an accepted apply's after-traces are the next
+//!    apply's baselines, and a program that executes identically to its
+//!    checkpoint is not re-run.
 //!
 //! On any failure the session **rolls back** to a checkpoint (a bounded
 //! snapshot ring, also user-drivable via [`GuardedSession::rollback`]),
@@ -236,6 +239,9 @@ impl QuarantineEntry {
     }
 }
 
+/// One program's result on each input vector.
+type Traces = Vec<Result<Trace, ExecError>>;
+
 /// A [`Session`] wrapped in validation, checkpointing, quarantine, and
 /// panic containment. See the crate docs for the full policy.
 #[derive(Debug)]
@@ -244,6 +250,9 @@ pub struct GuardedSession {
     config: GuardConfig,
     vectors: Vec<Vec<ExecValue>>,
     ring: VecDeque<Program>,
+    /// The current program's result on each vector, once known: the next
+    /// apply's baselines. `None` after a user rollback.
+    traces: Option<Traces>,
     quarantine: BTreeMap<String, QuarantineEntry>,
     reports: Vec<ValidationReport>,
     recorder: Option<Arc<Recorder>>,
@@ -272,6 +281,7 @@ impl GuardedSession {
             config,
             vectors,
             ring: VecDeque::new(),
+            traces: None,
             quarantine: BTreeMap::new(),
             reports: Vec::new(),
             recorder: None,
@@ -369,6 +379,7 @@ impl GuardedSession {
             return Err("checkpoint ring unexpectedly empty".into());
         };
         self.session.restore_program(snap);
+        self.traces = None;
         // Deliberately not `guard.rollback`: that event is reserved for
         // validation-caused restores (the trace contract pairs each one
         // with a preceding validation failure).
@@ -429,25 +440,45 @@ impl GuardedSession {
         );
 
         // Snapshot before touching anything; also the rollback target.
-        let checkpoint = self.program().clone();
-        self.ring.push_back(checkpoint.clone());
-        while self.ring.len() > self.config.checkpoints.max(1) {
-            self.ring.pop_front();
-        }
+        let checkpoint = {
+            let _span = Span::open(self.recorder.as_ref(), "guard.checkpoint", &[]);
+            let checkpoint = self.program().clone();
+            self.ring.push_back(checkpoint.clone());
+            while self.ring.len() > self.config.checkpoints.max(1) {
+                self.ring.pop_front();
+            }
+            checkpoint
+        };
 
-        let baselines: Vec<Result<Trace, ExecError>> = self
-            .vectors
-            .iter()
-            .map(|v| gospel_exec::run_limited(&checkpoint, v, self.config.step_limit))
-            .collect();
+        // The checkpoint is the program the previous apply validated (or
+        // restored), so its traces are usually already known.
+        let span = Span::open(self.recorder.as_ref(), "guard.exec", &[]);
+        let baselines = match self.traces.take() {
+            Some(traces) => {
+                self.close_exec(span, 0, traces.len());
+                traces
+            }
+            None => {
+                let traces = self
+                    .vectors
+                    .iter()
+                    .map(|v| gospel_exec::run_limited(&checkpoint, v, self.config.step_limit))
+                    .collect();
+                self.close_exec(span, self.vectors.len(), 0);
+                traces
+            }
+        };
 
         let started = std::time::Instant::now();
         let mut retried = false;
         let run = loop {
             let session = &mut self.session;
+            // The wrapped optimizer run is core work, not guard overhead.
+            let span = Span::open(self.recorder.as_ref(), "core.session_apply", &[]);
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 session.apply(name, mode).cloned()
             }));
+            drop(span);
             let transient = matches!(
                 attempt,
                 Ok(Err(RunError::Timeout { .. } | RunError::FuelExhausted { .. }))
@@ -505,6 +536,7 @@ impl GuardedSession {
             Ok(Err(RunError::UnknownOptimizer { name })) => {
                 // Caller error: nothing ran, drop the useless checkpoint.
                 self.ring.pop_back();
+                self.traces = Some(baselines);
                 guard_span.close(&[("outcome", Value::str("unknown-optimizer"))]);
                 return Err(RunError::UnknownOptimizer { name });
             }
@@ -520,7 +552,8 @@ impl GuardedSession {
             }
             Ok(Ok(apply_report)) => {
                 match self.validate(&canonical, &checkpoint, &baselines) {
-                    None => {
+                    Ok(after) => {
+                        self.traces = Some(after.unwrap_or(baselines));
                         if let Some(r) = self.recorder.as_ref() {
                             r.add("guard.validations", 1);
                             r.event(
@@ -545,10 +578,12 @@ impl GuardedSession {
                         guard_span.close(&[("outcome", Value::str("applied"))]);
                         return Ok(GuardOutcome::Applied(apply_report));
                     }
-                    Some(report) => report,
+                    Err(report) => report,
                 }
             }
         };
+        // Every rejection restored the checkpoint, whose traces these are.
+        self.traces = Some(baselines);
         if parole_trial {
             if report.quarantined {
                 // reject() bumped the offense count; two strikes make the
@@ -598,17 +633,27 @@ impl GuardedSession {
         Ok(out)
     }
 
-    /// Runs both validation gates against the current program. `None`
-    /// means the application is valid; `Some` is the recorded rejection
-    /// (the program has been rolled back to `checkpoint`).
+    /// Runs both validation gates against the current program. `Ok`
+    /// means the application is valid and carries the program's trace on
+    /// every vector (`None`: the program executes exactly like the
+    /// checkpoint, so its traces are `baselines`). `Err` is the recorded
+    /// rejection (the program has been rolled back to `checkpoint`).
+    ///
+    /// Vectors on which the checkpoint faults are not compared (semantics
+    /// after an error are out of scope), but still get an after-trace: it
+    /// is the next apply's baseline.
     fn validate(
         &mut self,
         name: &str,
         checkpoint: &Program,
         baselines: &[Result<Trace, ExecError>],
-    ) -> Option<ValidationReport> {
-        if let Err(e) = gospel_ir::validate(self.session.program()) {
-            return Some(self.reject(
+    ) -> Result<Option<Traces>, ValidationReport> {
+        let structural = {
+            let _span = Span::open(self.recorder.as_ref(), "guard.structural", &[]);
+            gospel_ir::validate(self.session.program())
+        };
+        if let Err(e) = structural {
+            return Err(self.reject(
                 name,
                 checkpoint.clone(),
                 GuardStage::Structural,
@@ -617,47 +662,57 @@ impl GuardedSession {
                 None,
             ));
         }
-
+        let span = Span::open(self.recorder.as_ref(), "guard.exec", &[]);
+        if executes_identically(checkpoint, self.session.program()) {
+            // The interpreter is deterministic: same code, same traces.
+            self.close_exec(span, 0, baselines.len());
+            return Ok(None);
+        }
+        let mut traces = Vec::with_capacity(baselines.len());
+        let mut failure = None;
         for (i, baseline) in baselines.iter().enumerate() {
-            let Ok(before) = baseline else {
-                // The original program faults on this vector (e.g. a
-                // divide by zero); semantics after an error are out of
-                // scope, skip it.
-                continue;
-            };
             let after = gospel_exec::run_limited(
                 self.session.program(),
                 &self.vectors[i],
                 self.config.step_limit,
             );
-            match after {
-                Err(e) => {
-                    return Some(self.reject(
-                        name,
-                        checkpoint.clone(),
-                        GuardStage::Translation,
-                        format!("transformed program faults: {e}"),
-                        Some(i),
-                        None,
-                    ));
-                }
-                Ok(after) => {
-                    if !before.same_outputs(&after) {
-                        let at = before.first_mismatch(&after);
-                        let detail = describe_divergence(before, &after, at);
-                        return Some(self.reject(
-                            name,
-                            checkpoint.clone(),
-                            GuardStage::Translation,
-                            detail,
-                            Some(i),
-                            at,
-                        ));
+            if let Ok(before) = baseline {
+                match &after {
+                    Err(e) => failure = Some((format!("transformed program faults: {e}"), i, None)),
+                    Ok(after) if !before.same_outputs(after) => {
+                        let at = before.first_mismatch(after);
+                        failure = Some((describe_divergence(before, after, at), i, at));
                     }
+                    Ok(_) => {}
                 }
             }
+            traces.push(after);
+            if failure.is_some() {
+                break;
+            }
         }
-        None
+        self.close_exec(span, traces.len(), 0);
+        match failure {
+            Some((detail, i, at)) => Err(self.reject(
+                name,
+                checkpoint.clone(),
+                GuardStage::Translation,
+                detail,
+                Some(i),
+                at,
+            )),
+            None => Ok(Some(traces)),
+        }
+    }
+
+    /// Closes a `guard.exec` span: `runs` interpreter executions, `reused`
+    /// traces taken from an earlier execution of the same program instead.
+    fn close_exec(&self, span: Span, runs: usize, reused: usize) {
+        span.close(&[("runs", Value::us(runs)), ("reused", Value::us(reused))]);
+        if let Some(r) = self.recorder.as_ref() {
+            r.add("guard.exec_runs", runs as u64);
+            r.add("guard.exec_reused", reused as u64);
+        }
     }
 
     /// Rolls back to `checkpoint`, quarantines when the stage implies the
@@ -742,6 +797,20 @@ impl GuardedSession {
         self.reports.push(report.clone());
         report
     }
+}
+
+/// Whether `a` and `b` behave identically under `gospel-exec`, results
+/// and error locations included: the same live statements (ids and
+/// quads) in the same order, the same declarations, and the same names
+/// for every symbol `a` interned (intrinsic calls and out-of-bounds
+/// reports go by name).
+fn executes_identically(a: &Program, b: &Program) -> bool {
+    a.len() == b.len()
+        && a.iter().eq(b.iter())
+        && a.iter().all(|id| a.quad(id) == b.quad(id))
+        && a.variables().eq(b.variables())
+        && a.syms().len() <= b.syms().len()
+        && a.syms().iter().all(|s| a.syms().name(s) == b.syms().name(s))
 }
 
 fn normalize(name: &str) -> String {

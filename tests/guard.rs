@@ -6,6 +6,8 @@ use genesis::{ApplyMode, FaultKind, FaultPlan};
 use genesis_guard::{GuardConfig, GuardOutcome, GuardStage, GuardedSession};
 use gospel_exec::ExecValue;
 use gospel_opts::interaction::natural_mode;
+use gospel_trace::Recorder;
+use std::sync::Arc;
 
 /// The paper's CTP with the reaching-definition guard (the `no` clause)
 /// removed: it happily propagates a constant past a second definition, so
@@ -247,4 +249,198 @@ fn panic_mid_action_leaves_a_validatable_program() {
     gs.set_fault(None);
     let next = gs.apply("DCE", ApplyMode::AllPoints).unwrap();
     assert!(matches!(next, GuardOutcome::Applied(_)), "{next:?}");
+}
+
+/// The six-optimizer chain the validated benchmark runs.
+const CHAIN: [&str; 6] = ["CTP", "CPP", "ICM", "FUS", "DCE", "CFO"];
+
+fn recorded(prog: gospel_ir::Program) -> (GuardedSession, Arc<Recorder>) {
+    let mut gs = GuardedSession::new(prog, GuardConfig::default());
+    let rec = Arc::new(Recorder::new());
+    gs.set_recorder(Some(rec.clone()));
+    (gs, rec)
+}
+
+#[test]
+fn interpreter_runs_once_per_vector_per_changed_program() {
+    let vectors = GuardConfig::default().vectors as u64;
+    for (wname, prog) in gospel_workloads::suite() {
+        let (mut gs, rec) = recorded(prog);
+        for opt in gospel_opts::catalog().expect("catalog generates") {
+            gs.register(opt);
+        }
+        let mut changed = 0;
+        for name in CHAIN {
+            let before = gs.program().clone();
+            let outcome = gs.apply(name, ApplyMode::AllPoints).unwrap();
+            assert!(outcome.is_applied(), "{wname}/{name}: {outcome:?}");
+            if !gs.program().structurally_eq(&before) {
+                changed += 1;
+            }
+        }
+        // The input runs once per vector; after that only an apply that
+        // changed the program runs it again.
+        assert_eq!(
+            rec.counter("guard.exec_runs"),
+            vectors * (1 + changed),
+            "{wname}: {changed} of {} applies changed the program",
+            CHAIN.len()
+        );
+        // Every other trace the guard compared was reused: the baselines
+        // of all applies but the first, and the after-traces of the
+        // applies that changed nothing.
+        let applies = CHAIN.len() as u64;
+        assert_eq!(
+            rec.counter("guard.exec_reused"),
+            vectors * ((applies - 1) + (applies - changed)),
+            "{wname}"
+        );
+    }
+}
+
+/// The broken CTP's rejection on `program`, from a fresh session (which
+/// has no traces to reuse).
+fn fresh_broken_ctp_report(program: &gospel_ir::Program) -> String {
+    let mut gs = GuardedSession::new(program.clone(), GuardConfig::default());
+    gs.register(gospel_opts::compile_spec(BROKEN_CTP).unwrap());
+    match gs.apply("CTP", ApplyMode::AllPoints).unwrap() {
+        GuardOutcome::Rejected(report) => report.to_string(),
+        other => panic!("broken CTP was not rejected: {other:?}"),
+    }
+}
+
+#[test]
+fn broken_ctp_is_still_caught_after_a_user_rollback() {
+    const EXPECTED: &str = "[translation] CTP rejected: output 0 diverged: 4 before vs 3 after \
+                            (input vector 1, first divergent output 0); rolled back; quarantined";
+    let prog = gospel_frontend::compile(TWO_DEFS).unwrap();
+    let mut gs = GuardedSession::new(prog, GuardConfig::default());
+    gs.register(gospel_opts::by_name("CPP"));
+    gs.register(gospel_opts::by_name("DCE"));
+    let original = gs.program().clone();
+    assert!(gs.apply("CPP", ApplyMode::AllPoints).unwrap().applications() > 0);
+    let after_cpp = gs.program().clone();
+    assert!(gs.apply("DCE", ApplyMode::AllPoints).unwrap().applications() > 0);
+
+    // One step back, then the wrong spec: rejected exactly as on a fresh
+    // session over the same program.
+    gs.rollback(1).unwrap();
+    assert!(gs.program().structurally_eq(&after_cpp));
+    gs.register(gospel_opts::compile_spec(BROKEN_CTP).unwrap());
+    let GuardOutcome::Rejected(report) = gs.apply("CTP", ApplyMode::AllPoints).unwrap() else {
+        panic!("broken CTP was not rejected after rollback(1)");
+    };
+    assert_eq!(report.to_string(), EXPECTED);
+    assert_eq!(report.to_string(), fresh_broken_ctp_report(&after_cpp));
+    assert!(gs.program().structurally_eq(&after_cpp), "not rolled back");
+
+    // All the way back to the input.
+    gs.rollback(1).unwrap();
+    assert!(gs.program().structurally_eq(&original));
+    gs.register(gospel_opts::compile_spec(BROKEN_CTP).unwrap());
+    let GuardOutcome::Rejected(report) = gs.apply("CTP", ApplyMode::AllPoints).unwrap() else {
+        panic!("broken CTP was not rejected after rollback to the input");
+    };
+    assert_eq!(report.to_string(), EXPECTED);
+    assert_eq!(report.to_string(), fresh_broken_ctp_report(&original));
+}
+
+/// Faults on input vector 0 only (the all-zeros vector: `d = 0`), through
+/// a dead division DCE removes. With the division gone, vector 0 takes
+/// the `x = 4` branch that the broken CTP miscompiles into `write 3`.
+const FAULTS_ON_VECTOR_0: &str = "\
+program t
+  integer d, x, y, z
+  read d
+  z = 7 / d
+  x = 3
+  if (d == 0) then
+    x = 4
+  end if
+  y = x
+  write y
+end
+";
+
+#[test]
+fn a_miscompile_on_a_vector_the_input_faulted_on_is_still_caught() {
+    let prog = gospel_frontend::compile(FAULTS_ON_VECTOR_0).unwrap();
+    let faults: Vec<bool> = exec_on_guard_vectors(&prog).iter().map(Option::is_none).collect();
+    assert_eq!(faults, [true, false, false, false]);
+
+    let mut gs = GuardedSession::new(prog, GuardConfig::default());
+    gs.register(gospel_opts::by_name("DCE"));
+    let outcome = gs.apply("DCE", ApplyMode::AllPoints).unwrap();
+    assert!(outcome.is_applied(), "{outcome:?}");
+    let fixed = gs.program().clone();
+    assert!(exec_on_guard_vectors(&fixed).iter().all(Option::is_some), "DCE left the fault");
+
+    gs.register(gospel_opts::compile_spec(BROKEN_CTP).unwrap());
+    let GuardOutcome::Rejected(report) = gs.apply("CTP", ApplyMode::AllPoints).unwrap() else {
+        panic!("miscompile visible only on vector 0 escaped");
+    };
+    assert_eq!(report.stage, GuardStage::Translation, "{report}");
+    assert_eq!(report.vector, Some(0), "{report}");
+    assert_eq!(report.to_string(), fresh_broken_ctp_report(&fixed));
+    assert!(gs.program().structurally_eq(&fixed), "not rolled back");
+}
+
+#[test]
+fn corrupt_and_timeout_restores_keep_the_baselines_right() {
+    let faults = [
+        // Structural rejection: rolled back, traces restored.
+        (FaultPlan::new(FaultKind::CorruptCommit), false),
+        // Transient timeout: the retry restarts from the checkpoint.
+        (FaultPlan::new(FaultKind::Timeout).transient(), true),
+        // Persistent timeout: the retry fails too; rolled back.
+        (FaultPlan::new(FaultKind::Timeout), false),
+    ];
+    for (plan, applies) in faults {
+        let what = format!("{plan:?}");
+        let prog = gospel_frontend::compile(TWO_DEFS).unwrap();
+        let (mut gs, rec) = recorded(prog);
+        gs.register(gospel_opts::by_name("CPP"));
+        gs.set_fault(Some(plan));
+        let outcome = gs.apply("CPP", ApplyMode::AllPoints).unwrap();
+        assert_eq!(outcome.is_applied(), applies, "{what}: {outcome:?}");
+        gs.set_fault(None);
+        let program = gs.program().clone();
+        assert_eq!(
+            exec_on_guard_vectors(&program),
+            exec_on_guard_vectors(&gospel_frontend::compile(TWO_DEFS).unwrap()),
+            "{what}: program not restored"
+        );
+
+        // The next apply validates against the restored program's traces,
+        // without re-running it, and still catches the wrong spec.
+        let reused = rec.counter("guard.exec_reused");
+        gs.register(gospel_opts::compile_spec(BROKEN_CTP).unwrap());
+        let GuardOutcome::Rejected(report) = gs.apply("CTP", ApplyMode::AllPoints).unwrap() else {
+            panic!("{what}: broken CTP was not rejected");
+        };
+        assert_eq!(report.to_string(), fresh_broken_ctp_report(&program), "{what}");
+        assert!(gs.program().structurally_eq(&program), "{what}: not rolled back");
+        assert_eq!(
+            rec.counter("guard.exec_reused") - reused,
+            GuardConfig::default().vectors as u64,
+            "{what}: the restored program's traces were not reused"
+        );
+    }
+}
+
+#[test]
+fn a_user_rollback_forgets_the_undone_programs_traces() {
+    // DCE removes the vector-0 fault; rolling it back brings the fault
+    // back, so vector 0 must again be out of scope for the next apply
+    // (CPP keeps the dead division, which still faults there).
+    let prog = gospel_frontend::compile(FAULTS_ON_VECTOR_0).unwrap();
+    let mut gs = GuardedSession::new(prog, GuardConfig::default());
+    gs.register(gospel_opts::by_name("DCE"));
+    gs.register(gospel_opts::by_name("CPP"));
+    assert!(gs.apply("DCE", ApplyMode::AllPoints).unwrap().is_applied());
+    gs.rollback(1).unwrap();
+    let outcome = gs.apply("CPP", ApplyMode::AllPoints).unwrap();
+    assert!(outcome.is_applied(), "{outcome:?}");
+    assert!(outcome.applications() > 0);
+    assert!(exec_on_guard_vectors(gs.program())[0].is_none());
 }
