@@ -38,10 +38,11 @@ USAGE:
         [--keep-going] [--retries N] [--file-timeout-ms N] [--report FILE]
         also accepts [--source] [--inject PLAN] [--trace FILE] [--metrics]
         plus the session options above
-    genesis-opt explain <prog.mf> --opt <OPT> [--stmt sN]
-        walk every anchor candidate through the fused automaton, the
-        anchor format and the Depend section, and name the first failing
-        discriminator (edge, conjunct or clause) per candidate
+    genesis-opt explain <prog.mf> --opt <OPT> [--stmt sN] [--spec FILE]…
+        run the optimizer's search over every anchor candidate (with
+        --stmt, the anchors headed at sN, as apply --at selects) and
+        name the gate that blocked each one: the anchor filter test, the
+        format conjunct or the clause
     genesis-opt report <trace.jsonl>… [--format text|json]
         [--baseline report.json] [--threshold-pct P]
         aggregate one or more --trace files into a cross-run report:
@@ -522,16 +523,15 @@ fn run_batch_command(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The `explain` command: replay one optimizer's match funnel over every
-/// anchor candidate of a program and narrate where each candidate died —
-/// the automaton edge, the format conjunct, or the dependence clause.
+/// The `explain` command: run one optimizer's search over every anchor
+/// candidate of a program and narrate where each candidate died — the
+/// anchor filter test, the format conjunct, or the dependence clause.
 fn run_explain_command(args: &[String]) -> Result<(), String> {
     let prog = load_program(args.get(1))?;
     let name = option(args, "--opt").ok_or("explain requires --opt NAME")?;
     let deps = DepGraph::analyze(&prog).map_err(|e| e.to_string())?;
-    // Assemble the same catalog a session would register (plus any
-    // --spec additions) so the fused automaton's trie — and therefore
-    // the replayed admission path — matches a real run's.
+    // A later --spec replaces a same-named earlier one or catalog entry,
+    // as registration does for run and apply.
     let mut optimizers: Vec<genesis::CompiledOptimizer> =
         gospel_opts::catalog().map_err(|e| e.to_string())?;
     for path in options(args, "--spec") {
@@ -541,16 +541,15 @@ fn run_explain_command(args: &[String]) -> Result<(), String> {
     }
     let opt = optimizers
         .iter()
+        .rev()
         .find(|o| o.name.eq_ignore_ascii_case(&name))
         .ok_or_else(|| format!("`{name}` is not in the catalog (try `specs`)"))?;
-    let auto = genesis::FusedAutomaton::build(&optimizers, &prog);
     let stmt = match option(args, "--stmt") {
         None if flag(args, "--stmt") => return Err("--stmt requires a statement id".into()),
         None => None,
         Some(s) => Some(parse_stmt(&s)?),
     };
-    let report =
-        genesis::explain(&prog, &deps, opt, &auto, stmt).map_err(|e| e.to_string())?;
+    let report = genesis::explain(&prog, &deps, opt, stmt).map_err(|e| e.to_string())?;
     print!("{}", report.to_text());
     Ok(())
 }

@@ -413,6 +413,41 @@ fn explain_names_the_blocking_clause_per_candidate() {
 }
 
 #[test]
+fn explain_stmt_selects_the_loops_headed_there() {
+    // s1 heads the first of two adjacent, fusable loops.
+    let prog = tempfile_path::write(
+        "program two\n  integer n, i\n  real a(50), b(50)\n  n = 50\n  do i = 1, n\n    \
+         a(i) = 1.0\n  end do\n  do i = 1, n\n    b(i) = 2.0\n  end do\n  write a(1)\n  \
+         write b(1)\nend\n",
+    );
+    let path = prog.0.to_str().unwrap();
+    let out = run_ok(&["explain", path, "--opt", "FUS", "--stmt", "s1"]);
+    assert!(out.contains("1 anchor candidate(s)"), "{out}");
+    assert!(out.contains("(L0, L1): FIRES"), "{out}");
+    let applied = run_ok(&["apply", path, "FUS", "--at", "s1"]);
+    assert!(applied.contains("FUS: 1 application(s)"), "{applied}");
+}
+
+#[test]
+fn explain_spec_replaces_the_same_named_catalog_entry() {
+    let prog = write_prog();
+    let spec = tempfile_path::write(
+        "OPTIMIZATION CTP TYPE Stmt: S; PRECOND Code_Pattern any S: S.opc == write; ACTION delete(S); END",
+    );
+    let out = run_ok(&[
+        "explain",
+        prog.0.to_str().unwrap(),
+        "--opt",
+        "CTP",
+        "--spec",
+        spec.0.to_str().unwrap(),
+    ]);
+    assert!(out.contains("1 satisfy the precondition"), "{out}");
+    assert!(out.contains("opcode set {write}"), "{out}");
+    assert!(!out.contains("{assign}"), "{out}");
+}
+
+#[test]
 fn explain_requires_a_known_optimizer() {
     let prog = write_prog();
     let err = run_err(&["explain", prog.0.to_str().unwrap(), "--opt", "NOPE"]);

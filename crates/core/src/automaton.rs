@@ -41,6 +41,7 @@
 
 use crate::caches::normalize;
 use crate::compile::CompiledOptimizer;
+use crate::solve::conjuncts;
 use gospel_dep::DepGraph;
 use gospel_ir::{EditDelta, Operand, Program, Quad, StmtId};
 use gospel_lang::ast::{Attr, BoolExpr, CmpOp, ElemType, OperandClass, PatternClause, ValExpr};
@@ -69,88 +70,17 @@ struct Node {
     edges: Vec<(Test, usize)>,
 }
 
-/// Per-fused-optimizer metadata carried out of trie construction.
-#[derive(Clone, Debug)]
-struct FusedEntry {
-    /// The anchor filter was `exact`: admission equals format
-    /// satisfaction, so the searcher skips format evaluation for posting
-    /// members.
-    exact: bool,
-    /// The root bucket keys this optimizer's chain hangs under.
-    opcodes: Vec<&'static str>,
-    /// The optimizer's discriminator chain, in canonical (`test_rank`)
-    /// order — exactly the edge sequence `insert_filter` threaded into
-    /// the trie, kept so [`FusedAutomaton::explain_admission`] can
-    /// replay the walk and name the first failing edge.
-    tests: Vec<Test>,
-}
-
-/// The replayed trie path of one (optimizer, statement) admission query —
-/// what [`FusedAutomaton::explain_admission`] reports to the explain
-/// engine. The `Admitted`/failure split agrees with [`classify`]
-/// membership by construction: both walk the same edge chain.
-///
-/// [`classify`]: FusedAutomaton::reclassify
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AdmissionVerdict {
-    /// The optimizer is not in the trie (loop anchor or unbounded
-    /// opcode): admission does not narrow, every statement passes.
-    NotFused,
-    /// The root opcode bucket rejected the statement before any edge was
-    /// walked.
-    OpcodeMiss {
-        /// The statement's opcode (`gospel_name`).
-        got: &'static str,
-        /// The anchor's admissible opcode set.
-        expected: Vec<&'static str>,
-    },
-    /// The walk entered the opcode bucket but this discriminator edge —
-    /// the first failing one on the optimizer's chain — rejected it.
-    EdgeFailed {
-        /// 0-based operand position (`opr_1` → 0).
-        pos: usize,
-        /// The class the edge tests for.
-        cls: OperandClass,
-        /// `true` for `==`, `false` for `!=`.
-        positive: bool,
-        /// The operand's actual class.
-        actual: OperandClass,
-    },
-    /// The full chain passed: the statement is in the posting.
-    Admitted,
-}
-
-impl AdmissionVerdict {
-    /// The failing edge in GOSpeL concrete syntax, e.g.
-    /// `type(opr_2) == const` — empty for the non-failure variants.
-    pub fn edge(&self) -> String {
-        match self {
-            AdmissionVerdict::EdgeFailed {
-                pos,
-                cls,
-                positive,
-                ..
-            } => format!(
-                "type(opr_{}) {} {}",
-                pos + 1,
-                if *positive { "==" } else { "!=" },
-                cls.keyword()
-            ),
-            _ => String::new(),
-        }
-    }
-}
-
 /// The fused anchor automaton. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct FusedAutomaton {
     /// Normalized optimizer names, in catalog (registration) order. The
     /// index into this vector is the optimizer id used everywhere below.
     names: Vec<String>,
-    /// `Some` for optimizers with a narrowing anchor filter; `None` for
-    /// the rest (loop anchors, unbounded opcodes) — those fall down the
-    /// ladder.
-    fused: Vec<Option<FusedEntry>>,
+    /// `Some(exact)` for optimizers with a narrowing anchor filter, where
+    /// `exact` is [`AnchorFilter::exact`] (the searcher then skips format
+    /// evaluation for posting members); `None` for the rest (loop
+    /// anchors, unbounded opcodes) — those fall down the ladder.
+    fused: Vec<Option<bool>>,
     /// Trie nodes; roots are reached through `root`.
     nodes: Vec<Node>,
     /// Opcode bucket at the root: `gospel_name` key → node.
@@ -176,14 +106,14 @@ pub struct FusedAutomaton {
 /// the catalog's common discriminator ("some operand is a constant")
 /// then leads every chain that uses it, maximizing sharing; conjunction
 /// order is semantically free.
-fn test_rank(t: &Test) -> (u8, usize, bool) {
-    let c = match t.cls {
+fn test_rank(&(pos, cls, positive): &(usize, OperandClass, bool)) -> (u8, usize, bool) {
+    let c = match cls {
         OperandClass::Const => 0,
         OperandClass::Var => 1,
         OperandClass::Elem => 2,
         OperandClass::None => 3,
     };
-    (c, t.pos, !t.positive)
+    (c, pos, !positive)
 }
 
 impl FusedAutomaton {
@@ -209,42 +139,26 @@ impl FusedAutomaton {
                 .and_then(|(c, _)| c.vars.first().map(|v| anchor_filter(c, v)))
                 .filter(AnchorFilter::narrows);
             let id = auto.names.len() - 1;
-            match filter {
-                Some(f) => {
-                    let (opcodes, tests) = auto.insert_filter(id, &f);
-                    auto.fused.push(Some(FusedEntry {
-                        exact: f.exact,
-                        opcodes,
-                        tests,
-                    }));
-                }
-                None => auto.fused.push(None),
+            if let Some(f) = &filter {
+                auto.insert_filter(id, f);
             }
+            auto.fused.push(filter.map(|f| f.exact));
             auto.postings.push(Vec::new());
         }
         auto.reclassify(prog);
         auto
     }
 
-    /// Threads one optimizer's filter into the trie: one chain of class
-    /// tests (sorted canonically) under each of its opcode buckets.
-    /// Returns the bucket keys and the canonical chain for the
-    /// optimizer's [`FusedEntry`].
-    fn insert_filter(
-        &mut self,
-        id: usize,
-        filter: &AnchorFilter,
-    ) -> (Vec<&'static str>, Vec<Test>) {
-        let mut tests: Vec<Test> = filter
+    /// Threads one optimizer's filter into the trie: its chain of class
+    /// tests (already in canonical order) under each of its opcode
+    /// buckets.
+    fn insert_filter(&mut self, id: usize, filter: &AnchorFilter) {
+        let tests: Vec<Test> = filter
             .classes
             .iter()
             .map(|&(pos, cls, positive)| Test { pos, cls, positive })
             .collect();
-        tests.sort_unstable_by_key(test_rank);
-        tests.dedup();
-        let keys = filter.opcodes.clone().unwrap_or_default();
-        for key in &keys {
-            let key = *key;
+        for &key in filter.opcodes.iter().flatten() {
             let mut cur = match self.root.get(key) {
                 Some(&n) => n,
                 None => {
@@ -267,38 +181,6 @@ impl FusedAutomaton {
                 self.nodes[cur].outputs.push(id);
             }
         }
-        (keys, tests)
-    }
-
-    /// Replays the trie walk of fused optimizer `name` over one quad and
-    /// reports where it ended: admitted, rejected at the root opcode
-    /// bucket, or rejected by a specific discriminator edge (the first
-    /// failing test on the optimizer's canonical chain). The explain
-    /// engine turns the verdict into its `NotAdmitted` narrative.
-    pub fn explain_admission(&self, name: &str, quad: &Quad) -> AdmissionVerdict {
-        let Some(id) = self.opt_id(name) else {
-            return AdmissionVerdict::NotFused;
-        };
-        let entry = self.fused[id].as_ref().expect("opt_id implies fused");
-        let got = quad.op.gospel_name();
-        if !entry.opcodes.contains(&got) {
-            return AdmissionVerdict::OpcodeMiss {
-                got,
-                expected: entry.opcodes.clone(),
-            };
-        }
-        let cls = [class_of(&quad.dst), class_of(&quad.a), class_of(&quad.b)];
-        for t in &entry.tests {
-            if !t.passes(&cls) {
-                return AdmissionVerdict::EdgeFailed {
-                    pos: t.pos,
-                    cls: t.cls,
-                    positive: t.positive,
-                    actual: cls[t.pos],
-                };
-            }
-        }
-        AdmissionVerdict::Admitted
     }
 
     fn fresh_node(&mut self) -> usize {
@@ -341,7 +223,7 @@ impl FusedAutomaton {
 
     /// Whether `id`'s admission equals format satisfaction.
     pub fn exact(&self, id: usize) -> bool {
-        self.fused[id].as_ref().is_some_and(|f| f.exact)
+        self.fused[id] == Some(true)
     }
 
     /// Drains the accumulated (states-built, trie-visits) statistics.
@@ -491,8 +373,7 @@ impl FusedAutomaton {
                 .collect()
         };
         self.names == other.names
-            && self.fused.iter().map(|f| f.as_ref().map(|e| e.exact)).collect::<Vec<_>>()
-                == other.fused.iter().map(|f| f.as_ref().map(|e| e.exact)).collect::<Vec<_>>()
+            && self.fused == other.fused
             && norm(&self.postings) == norm(&other.postings)
     }
 }
@@ -523,7 +404,10 @@ pub struct AnchorFilter {
     /// does not bound the opcode (no narrowing possible).
     pub opcodes: Option<Vec<&'static str>>,
     /// `(position, class, positive)` requirements: position is 0-based
-    /// (`opr_1` → 0), and `positive` distinguishes `==` from `!=`.
+    /// (`opr_1` → 0), and `positive` distinguishes `==` from `!=`. Kept
+    /// deduplicated in the canonical order the trie threads them in, so
+    /// [`AnchorFilter::first_miss`] names the same test a trie walk
+    /// fails on.
     pub classes: Vec<(usize, OperandClass, bool)>,
     /// True when admission *equals* the format: every top-level conjunct
     /// is either a pure opcode disjunction over the variable or an
@@ -552,17 +436,48 @@ impl AnchorFilter {
     /// opcode bound admits every statement (the automaton does not fuse
     /// it either).
     pub fn admits(&self, quad: &Quad) -> bool {
-        let Some(opcodes) = self.opcodes.as_ref() else {
-            return true;
-        };
+        self.first_miss(quad).is_none()
+    }
+
+    /// Why one statement is outside the admission set: its opcode is
+    /// outside the set (the trie's root bucket misses), or the first
+    /// class test in canonical order fails (the trie edge the walk stops
+    /// at). `None` when the statement is admitted.
+    pub fn first_miss(&self, quad: &Quad) -> Option<AnchorMiss> {
+        let opcodes = self.opcodes.as_ref()?;
         if !opcodes.contains(&quad.op.gospel_name()) {
-            return false;
+            return Some(AnchorMiss::Opcode);
         }
         let cls = [class_of(&quad.dst), class_of(&quad.a), class_of(&quad.b)];
         self.classes
             .iter()
-            .all(|&(pos, c, positive)| (cls[pos] == c) == positive)
+            .find(|&&(pos, c, positive)| (cls[pos] == c) != positive)
+            .map(|&(pos, c, positive)| AnchorMiss::Class {
+                pos,
+                cls: c,
+                positive,
+                actual: cls[pos],
+            })
     }
+}
+
+/// Why a statement is outside an [`AnchorFilter`]'s admission set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AnchorMiss {
+    /// The statement's opcode is outside the filter's opcode set.
+    Opcode,
+    /// This class test — the first failing one in canonical order —
+    /// rejected the statement.
+    Class {
+        /// 0-based operand position (`opr_1` → 0).
+        pos: usize,
+        /// The class the test asks for.
+        cls: OperandClass,
+        /// `true` for `==`, `false` for `!=`.
+        positive: bool,
+        /// The operand's actual class.
+        actual: OperandClass,
+    },
 }
 
 /// Extracts the [`AnchorFilter`] of `var` from a clause's format.
@@ -584,10 +499,8 @@ pub fn anchor_filter(clause: &PatternClause, var: &str) -> AnchorFilter {
         classes: Vec::new(),
         exact: false,
     };
-    let mut atoms = Vec::new();
-    flatten_conj(format, &mut atoms);
     let mut all_captured = true;
-    for atom in atoms {
+    for atom in conjuncts(format) {
         if let BoolExpr::TypeIs(ValExpr::Ref(r), cls, positive) = atom {
             if r.base == var {
                 if let [Attr::Opr(n)] = r.path.as_slice() {
@@ -602,6 +515,8 @@ pub fn anchor_filter(clause: &PatternClause, var: &str) -> AnchorFilter {
             all_captured = false;
         }
     }
+    filter.classes.sort_unstable_by_key(test_rank);
+    filter.classes.dedup();
     filter.exact = filter.opcodes.is_some() && all_captured;
     filter
 }
@@ -650,16 +565,6 @@ fn opcode_set(b: &BoolExpr, var: &str) -> Option<Vec<&'static str>> {
             None
         }
         _ => None,
-    }
-}
-
-fn flatten_conj<'b>(b: &'b BoolExpr, out: &mut Vec<&'b BoolExpr>) {
-    match b {
-        BoolExpr::And(l, r) => {
-            flatten_conj(l, out);
-            flatten_conj(r, out);
-        }
-        other => out.push(other),
     }
 }
 
@@ -810,50 +715,48 @@ mod tests {
     }
 
     #[test]
-    fn explain_admission_replays_the_trie_path() {
-        let opts = vec![
-            opt_of("A", "S.opc == assign AND type(S.opr_2) == const"),
-            opt_of("D", "S.opr_1 == S.opr_2"), // not fused
-        ];
+    fn first_miss_names_the_failing_trie_test() {
         let p = prog();
-        let auto = FusedAutomaton::build(&opts, &p);
+        let filter = |anchor: &str| {
+            let opt = opt_of("A", anchor);
+            let (clause, _) = &opt.patterns[0];
+            anchor_filter(clause, &clause.vars[0])
+        };
+        let a = filter("S.opc == assign AND type(S.opr_2) == const");
         // x = 1: assign with a const source — the whole chain passes.
         let s0 = p.first().unwrap();
-        assert_eq!(
-            auto.explain_admission("A", p.quad(s0)),
-            AdmissionVerdict::Admitted
-        );
-        // y = x: assign, but opr_2 is a var — the class edge fails.
+        assert_eq!(a.first_miss(p.quad(s0)), None);
+        assert!(a.admits(p.quad(s0)));
+        // y = x: assign, but opr_2 is a var — the class test fails.
         let s1 = p.iter().nth(1).unwrap();
-        let v = auto.explain_admission("A", p.quad(s1));
-        assert_eq!(v.edge(), "type(opr_2) == const");
-        assert!(matches!(
-            v,
-            AdmissionVerdict::EdgeFailed {
+        assert_eq!(
+            a.first_miss(p.quad(s1)),
+            Some(AnchorMiss::Class {
                 pos: 1,
                 cls: OperandClass::Const,
                 positive: true,
                 actual: OperandClass::Var,
-            }
-        ));
+            })
+        );
         // write y: rejected at the root opcode bucket.
         let w = p.iter().find(|&s| p.quad(s).op == Opcode::Write).unwrap();
-        assert_eq!(
-            auto.explain_admission("A", p.quad(w)),
-            AdmissionVerdict::OpcodeMiss {
-                got: "write",
-                expected: vec!["assign"],
-            }
-        );
-        // Unfused and unknown optimizers do not narrow.
-        assert_eq!(
-            auto.explain_admission("D", p.quad(w)),
-            AdmissionVerdict::NotFused
-        );
-        assert_eq!(
-            auto.explain_admission("nope", p.quad(w)),
-            AdmissionVerdict::NotFused
-        );
+        assert_eq!(a.first_miss(p.quad(w)), Some(AnchorMiss::Opcode));
+        assert!(!a.admits(p.quad(w)));
+        // a(i) = x fails both tests; the canonical order (class before
+        // position) puts the const test first, as on the trie path.
+        let both = filter("S.opc == assign AND type(S.opr_1) == var AND type(S.opr_2) == const");
+        let elem = p
+            .iter()
+            .find(|&s| matches!(p.quad(s).dst, Operand::Elem { .. }))
+            .unwrap();
+        assert!(matches!(
+            both.first_miss(p.quad(elem)),
+            Some(AnchorMiss::Class { pos: 1, cls: OperandClass::Const, .. })
+        ));
+        // A filter with no opcode bound does not narrow: nothing misses.
+        let d = filter("S.opr_1 == S.opr_2");
+        assert!(!d.narrows());
+        assert_eq!(d.first_miss(p.quad(w)), None);
     }
 
     #[test]

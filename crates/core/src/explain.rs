@@ -3,45 +3,25 @@
 //! Where the match funnel ([`crate::Driver`]'s `funnel.*` counters) says
 //! how many candidates died at each stage, this module says **which**
 //! stage killed **this** candidate and names the exact discriminator.
-//! For every anchor candidate of one optimizer it walks the same three
-//! gates the searcher walks, in the same order, and stops at the first
-//! one that fails:
-//!
-//! 1. **admission** — the fused automaton's trie path is replayed via
-//!    [`FusedAutomaton::explain_admission`], reporting either the root
-//!    opcode-bucket miss or the first failing discriminator edge;
-//! 2. **anchor format** — the clause's top-level conjuncts are evaluated
-//!    one by one and the first false conjunct is named in GOSpeL
-//!    concrete syntax;
-//! 3. **the rest of the precondition** — the surviving binding
-//!    environments are pushed clause-by-clause through the remaining
-//!    pattern clauses and the Depend section (reusing the searcher's own
-//!    [`solve_clause`] machinery), and the first clause that kills every
-//!    environment is reported.
-//!
-//! The walk is breadth-first over environments (capped at
-//! [`ENV_CAP`] to bound pathological specs — the report says so when the
-//! cap bites), so unlike the searcher it does not stop at the first
-//! witness: it exists to attribute failure, not to find bindings fast.
-//!
-//! [`solve_clause`]: crate::solve::Searcher::solve_clause
+//! It runs the real scan searcher with recording on (see
+//! [`Searcher::record`]), so the gates it reports on are the gates a run
+//! evaluates. Per anchor candidate the searcher records whether it
+//! fired and, if not, the gate that blocked it: an anchor-filter
+//! admission miss, or else the deepest failing gate — the anchor
+//! format, a later pattern clause, or a Depend clause. This module only
+//! renders those records, naming the failing filter test, format
+//! conjunct or clause in GOSpeL concrete syntax.
 
-use crate::automaton::{AdmissionVerdict, FusedAutomaton};
+use crate::automaton::{anchor_filter, AnchorFilter, AnchorMiss};
 use crate::compile::CompiledOptimizer;
 use crate::error::RunError;
-use crate::rt::{Bindings, RtVal};
-use crate::solve::{eval_format, Searcher};
+use crate::rt::RtVal;
+use crate::solve::{conjuncts, eval_format, AnchorVisit, Gate, Searcher};
 use gospel_dep::DepGraph;
-use gospel_ir::{LoopTable, Program, StmtId};
-use gospel_lang::ast::{BoolExpr, ElemType, PatternClause, Quant};
+use gospel_ir::{Program, StmtId};
+use gospel_lang::ast::{ElemType, Quant};
 use gospel_lang::{pretty_bool, pretty_depend_clause, pretty_pattern_clause};
 use std::fmt;
-
-/// Environment-frontier cap: clause-by-clause survival tracking keeps at
-/// most this many binding environments alive. The catalog's optimizers
-/// stay in single digits; the cap only guards degenerate specifications,
-/// and [`ExplainReport::truncated`] records when it bit.
-pub const ENV_CAP: usize = 512;
 
 /// The first gate that killed one anchor candidate, with the exact
 /// discriminator that failed.
@@ -175,12 +155,9 @@ pub struct CandidateExplanation {
 pub struct ExplainReport {
     /// The optimizer's name as registered.
     pub optimizer: String,
-    /// Whether the fused automaton narrows this optimizer's anchor.
+    /// Whether the anchor filter narrows a statement anchor — the
+    /// condition under which the fused automaton fuses this optimizer.
     pub fused: bool,
-    /// True when [`ENV_CAP`] truncated an environment frontier — blocker
-    /// attribution past the truncation point may name a later clause
-    /// than the searcher would.
-    pub truncated: bool,
     /// One verdict per anchor candidate, in program order.
     pub candidates: Vec<CandidateExplanation>,
 }
@@ -208,13 +185,6 @@ impl ExplainReport {
             self.fired(),
             if self.fused { " [fused anchor]" } else { "" }
         );
-        if self.truncated {
-            let _ = writeln!(
-                s,
-                "  note: environment frontier truncated at {ENV_CAP}; \
-                 attribution past that point is approximate"
-            );
-        }
         for c in &self.candidates {
             match &c.blocker {
                 None => {
@@ -226,31 +196,6 @@ impl ExplainReport {
             }
         }
         s
-    }
-}
-
-/// Anchor-shaped candidate tuples for one element type — the explain
-/// engine's (unfiltered) counterpart of the searcher's candidate
-/// enumeration.
-fn element_candidates(prog: &Program, loops: &LoopTable, ty: ElemType) -> Vec<Vec<RtVal>> {
-    match ty {
-        ElemType::Stmt => prog.iter().map(|s| vec![RtVal::Stmt(s)]).collect(),
-        ElemType::Loop => loops.iter().map(|l| vec![RtVal::Loop(l.id)]).collect(),
-        ElemType::NestedLoops => loops
-            .nested_pairs()
-            .into_iter()
-            .map(|(o, i)| vec![RtVal::Loop(o), RtVal::Loop(i)])
-            .collect(),
-        ElemType::TightLoops => loops
-            .tight_pairs(prog)
-            .into_iter()
-            .map(|(o, i)| vec![RtVal::Loop(o), RtVal::Loop(i)])
-            .collect(),
-        ElemType::AdjacentLoops => loops
-            .adjacent_pairs(prog)
-            .into_iter()
-            .map(|(a, b)| vec![RtVal::Loop(a), RtVal::Loop(b)])
-            .collect(),
     }
 }
 
@@ -277,40 +222,22 @@ fn render_candidate(prog: &Program, cand: &[RtVal]) -> String {
     }
 }
 
-/// Splits a format into its top-level conjuncts, in source order.
-fn conjuncts(b: &BoolExpr) -> Vec<&BoolExpr> {
-    let mut out = Vec::new();
-    fn walk<'b>(b: &'b BoolExpr, out: &mut Vec<&'b BoolExpr>) {
-        match b {
-            BoolExpr::And(l, r) => {
-                walk(l, out);
-                walk(r, out);
-            }
-            other => out.push(other),
-        }
-    }
-    walk(b, &mut out);
-    out
-}
-
-/// Walks every anchor candidate of `opt` through admission, format and
-/// the remaining precondition, and reports where each one stopped.
-/// `only_stmt` restricts the walk to candidates anchored at that
-/// statement (the CLI's `--stmt` flag).
+/// Runs the searcher over every anchor candidate of `opt` and reports
+/// where each one stopped. `only_stmt` restricts the run to the anchors
+/// headed at that statement (the CLI's `--stmt` flag) — the same rule
+/// `apply --at` uses, so a loop anchor is selected by its head.
 ///
 /// # Errors
 ///
-/// Propagates [`RunError`] from format or dependence evaluation — the
-/// same errors the searcher itself would raise (e.g. an `all` quantifier
-/// in `Code_Pattern`).
+/// Propagates [`RunError`] from the search itself (e.g. an `all`
+/// quantifier in `Code_Pattern`), and rejects optimizers without an
+/// `any` anchor clause.
 pub fn explain(
     prog: &Program,
     deps: &DepGraph,
     opt: &CompiledOptimizer,
-    auto: &FusedAutomaton,
     only_stmt: Option<StmtId>,
 ) -> Result<ExplainReport, RunError> {
-    let loops = deps.loops();
     let Some((anchor_clause, anchor_ty)) = opt.patterns.first() else {
         return Err(RunError::Action(
             "optimizer has no pattern clause to explain".into(),
@@ -321,256 +248,129 @@ pub fn explain(
             "`explain` requires an `any` anchor clause".into(),
         ));
     }
-    let fused = auto.opt_id(&opt.name).is_some();
-    let mut report = ExplainReport {
+    let filter = anchor_clause
+        .vars
+        .first()
+        .filter(|_| *anchor_ty == ElemType::Stmt)
+        .map(|v| anchor_filter(anchor_clause, v))
+        .filter(AnchorFilter::narrows);
+    let mut searcher = Searcher::new(prog, deps, opt);
+    searcher.at_point = only_stmt;
+    searcher.record = Some(Vec::new());
+    searcher.find_all(usize::MAX)?;
+    let candidates = searcher
+        .record
+        .take()
+        .unwrap_or_default()
+        .into_iter()
+        .map(|visit| {
+            Ok(CandidateExplanation {
+                anchor: render_candidate(prog, &visit.anchor),
+                stmt: visit.anchor.first().and_then(RtVal::as_stmt),
+                blocker: blocker(prog, deps, opt, filter.as_ref(), &visit)?,
+            })
+        })
+        .collect::<Result<_, RunError>>()?;
+    Ok(ExplainReport {
         optimizer: opt.name.clone(),
-        fused,
-        truncated: false,
-        candidates: Vec::new(),
-    };
-    for cand in element_candidates(prog, loops, *anchor_ty) {
-        let stmt = cand.first().and_then(RtVal::as_stmt);
-        if let Some(only) = only_stmt {
-            if stmt != Some(only) {
-                continue;
-            }
-        }
-        let blocker = explain_candidate(
-            prog,
-            deps,
-            opt,
-            auto,
-            anchor_clause,
-            &cand,
-            &mut report.truncated,
-        )?;
-        report.candidates.push(CandidateExplanation {
-            anchor: render_candidate(prog, &cand),
-            stmt,
-            blocker,
-        });
-    }
-    Ok(report)
+        fused: filter.is_some(),
+        candidates,
+    })
 }
 
-/// One candidate's walk; returns the first failing gate.
-fn explain_candidate(
+/// Renders one recorded anchor visit's blocker; `None` when it fired.
+fn blocker(
     prog: &Program,
     deps: &DepGraph,
     opt: &CompiledOptimizer,
-    auto: &FusedAutomaton,
-    anchor_clause: &PatternClause,
-    cand: &[RtVal],
-    truncated: &mut bool,
+    filter: Option<&AnchorFilter>,
+    visit: &AnchorVisit,
 ) -> Result<Option<Blocker>, RunError> {
-    let loops = deps.loops();
-    // Gate 1: the fused automaton's admission path.
-    if let Some(RtVal::Stmt(s)) = cand.first() {
-        match auto.explain_admission(&opt.name, prog.quad(*s)) {
-            AdmissionVerdict::OpcodeMiss { got, expected } => {
-                return Ok(Some(Blocker::OpcodeMiss {
-                    got: got.to_owned(),
-                    expected: expected.iter().map(|&e| e.to_owned()).collect(),
-                }))
-            }
-            v @ AdmissionVerdict::EdgeFailed { actual, .. } => {
-                return Ok(Some(Blocker::EdgeFailed {
-                    edge: v.edge(),
+    // Every visit that does not fire records the gate that blocked it.
+    let Some(miss) = visit.miss.as_ref().filter(|_| !visit.fired) else {
+        return Ok(None);
+    };
+    let np = opt.patterns.len();
+    let pattern = || &opt.patterns[miss.idx].0;
+    let dep = || &opt.depends[miss.idx - np].clause;
+    Ok(Some(match miss.gate {
+        Gate::Admission => {
+            let (Some(filter), Some(RtVal::Stmt(s))) = (filter, visit.anchor.first()) else {
+                return Err(RunError::Action("admission miss without a filter".into()));
+            };
+            let quad = prog.quad(*s);
+            match filter.first_miss(quad) {
+                Some(AnchorMiss::Class {
+                    pos,
+                    cls,
+                    positive,
+                    actual,
+                }) => Blocker::EdgeFailed {
+                    edge: format!(
+                        "type(opr_{}) {} {}",
+                        pos + 1,
+                        if positive { "==" } else { "!=" },
+                        cls.keyword()
+                    ),
                     actual: actual.keyword().to_owned(),
-                }))
-            }
-            AdmissionVerdict::NotFused | AdmissionVerdict::Admitted => {}
-        }
-    }
-    // Gate 2: the anchor format, conjunct by conjunct.
-    let mut env = Bindings::new();
-    for (v, val) in anchor_clause.vars.iter().zip(cand) {
-        env.set(v, val.clone());
-    }
-    if let Some(format) = &anchor_clause.format {
-        let mut checks = 0u64;
-        for conjunct in conjuncts(format) {
-            if !eval_format(prog, loops, &env, conjunct, &mut checks)? {
-                return Ok(Some(Blocker::FormatFailed {
-                    clause: 0,
-                    conjunct: pretty_bool(conjunct),
-                }));
+                },
+                _ => Blocker::OpcodeMiss {
+                    got: quad.op.gospel_name().to_owned(),
+                    expected: filter.opcodes.iter().flatten().map(|&k| k.to_owned()).collect(),
+                },
             }
         }
-    }
-    // Gate 3: the remaining pattern clauses, breadth-first over
-    // surviving environments.
-    let mut envs = vec![env];
-    for (idx, (clause, ty)) in opt.patterns.iter().enumerate().skip(1) {
-        let cands = element_candidates(prog, loops, *ty);
-        match clause.quant {
-            Quant::Any => {
-                let mut next = Vec::new();
-                for env in &envs {
-                    'cands: for c in &cands {
-                        let mut env2 = env.clone();
-                        for (v, val) in clause.vars.iter().zip(c) {
-                            if let Some(existing) = env2.get(v) {
-                                if existing != val {
-                                    continue 'cands;
-                                }
-                            }
-                            env2.set(v, val.clone());
-                        }
-                        if clause_format_holds(prog, loops, clause, &env2)? {
-                            if next.len() < ENV_CAP {
-                                next.push(env2);
-                            } else {
-                                *truncated = true;
-                            }
-                        }
-                    }
+        Gate::Format => {
+            // Name the first top-level conjunct that is false under the
+            // candidate's bindings; the searcher already found the whole
+            // format false.
+            let mut failing = None;
+            for c in pattern().format.iter().flat_map(|f| conjuncts(f)) {
+                if !eval_format(prog, deps.loops(), &miss.witness, c, &mut 0)? {
+                    failing = Some(c);
+                    break;
                 }
-                if next.is_empty() {
-                    return Ok(Some(Blocker::NoWitness {
-                        clause: idx,
-                        clause_text: pretty_pattern_clause(clause),
-                    }));
-                }
-                envs = next;
             }
-            Quant::No => {
-                let mut surviving = Vec::new();
-                let mut witness = String::new();
-                for env in envs {
-                    let mut dead = false;
-                    for c in &cands {
-                        let mut env2 = env.clone();
-                        for (v, val) in clause.vars.iter().zip(c) {
-                            env2.set(v, val.clone());
-                        }
-                        if clause_format_holds(prog, loops, clause, &env2)? {
-                            dead = true;
-                            witness = render_candidate(prog, c);
-                            break;
-                        }
-                    }
-                    if !dead {
-                        surviving.push(env);
-                    }
-                }
-                if surviving.is_empty() {
-                    return Ok(Some(Blocker::Forbidden {
-                        clause: idx,
-                        clause_text: pretty_pattern_clause(clause),
-                        witness,
-                    }));
-                }
-                envs = surviving;
-            }
-            Quant::All => {
-                return Err(RunError::Action(
-                    "`all` in Code_Pattern is rejected at generation time".into(),
-                ))
+            Blocker::FormatFailed {
+                clause: miss.idx,
+                conjunct: failing.map(pretty_bool).unwrap_or_default(),
             }
         }
-    }
-    // Gate 4: the Depend section, clause by clause, reusing the
-    // searcher's solver so strategy selection and edge semantics are
-    // identical to a real run.
-    let mut searcher = Searcher::new(prog, deps, opt);
-    for (di, cc) in opt.depends.iter().enumerate() {
-        match cc.clause.quant {
-            Quant::Any => {
-                let mut next = Vec::new();
-                for env in &envs {
-                    for sol in searcher.solve_clause(cc, env, false)? {
-                        if next.len() < ENV_CAP {
-                            next.push(sol);
-                        } else {
-                            *truncated = true;
-                        }
-                    }
-                }
-                if next.is_empty() {
-                    return Ok(Some(Blocker::DepUnsatisfied {
-                        clause: di,
-                        clause_text: pretty_depend_clause(&cc.clause),
-                    }));
-                }
-                envs = next;
-            }
-            Quant::No => {
-                let mut surviving = Vec::new();
-                let mut witness = String::new();
-                for env in envs {
-                    let sols = searcher.solve_clause(cc, &env, false)?;
-                    match sols.first() {
-                        Some(sol) => {
-                            witness = cc
-                                .clause
-                                .vars
-                                .iter()
-                                .filter_map(|v| {
-                                    sol.get(v).map(|val| format!("{v} = {}", render_val(val)))
-                                })
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                        }
-                        None => surviving.push(env),
-                    }
-                }
-                if surviving.is_empty() {
-                    return Ok(Some(Blocker::DepForbidden {
-                        clause: di,
-                        clause_text: pretty_depend_clause(&cc.clause),
-                        witness,
-                    }));
-                }
-                envs = surviving;
-            }
-            Quant::All => {
-                // `all` collects a set; it never kills an environment.
-                // Mirror the searcher's collection so later clauses see
-                // the same bindings a real run would.
-                let mut next = Vec::new();
-                for env in &envs {
-                    let sols = searcher.solve_clause(cc, env, true)?;
-                    let mut env2 = env.clone();
-                    for (v, pv) in cc.clause.vars.iter().zip(&cc.clause.pos_vars) {
-                        let mut collected: Vec<(StmtId, Option<gospel_ir::OperandPos>)> =
-                            Vec::new();
-                        for sol in &sols {
-                            let stmt = sol.get(v).and_then(RtVal::as_stmt);
-                            let pos = pv
-                                .as_ref()
-                                .and_then(|p| sol.get(p))
-                                .and_then(RtVal::as_pos);
-                            if let Some(s) = stmt {
-                                if !collected.iter().any(|(cs, cp)| *cs == s && *cp == pos) {
-                                    collected.push((s, pos));
-                                }
-                            }
-                        }
-                        env2.set(v, RtVal::Set(collected));
-                    }
-                    next.push(env2);
-                }
-                envs = next;
-            }
-        }
-    }
-    Ok(None)
-}
-
-fn clause_format_holds(
-    prog: &Program,
-    loops: &LoopTable,
-    clause: &PatternClause,
-    env: &Bindings,
-) -> Result<bool, RunError> {
-    match &clause.format {
-        None => Ok(true),
-        Some(f) => {
-            let mut checks = 0u64;
-            eval_format(prog, loops, env, f, &mut checks)
-        }
-    }
+        Gate::NoWitness => Blocker::NoWitness {
+            clause: miss.idx,
+            clause_text: pretty_pattern_clause(pattern()),
+        },
+        Gate::Forbidden => Blocker::Forbidden {
+            clause: miss.idx,
+            clause_text: pretty_pattern_clause(pattern()),
+            witness: render_candidate(
+                prog,
+                &pattern()
+                    .vars
+                    .iter()
+                    .filter_map(|v| miss.witness.get(v).cloned())
+                    .collect::<Vec<_>>(),
+            ),
+        },
+        Gate::DepUnsatisfied => Blocker::DepUnsatisfied {
+            clause: miss.idx - np,
+            clause_text: pretty_depend_clause(dep()),
+        },
+        Gate::DepForbidden => Blocker::DepForbidden {
+            clause: miss.idx - np,
+            clause_text: pretty_depend_clause(dep()),
+            witness: dep()
+                .vars
+                .iter()
+                .filter_map(|v| {
+                    miss.witness
+                        .get(v)
+                        .map(|val| format!("{v} = {}", render_val(val)))
+                })
+                .collect::<Vec<_>>()
+                .join(", "),
+        },
+    }))
 }
 
 #[cfg(test)]
@@ -598,8 +398,7 @@ mod tests {
     fn names_the_failing_automaton_edge_and_opcode_bucket() {
         let (p, d) = world("program p\ninteger x, y\nx = 3\ny = x\nwrite y\nend");
         let opt = ctp();
-        let auto = FusedAutomaton::build(std::slice::from_ref(&opt), &p);
-        let report = explain(&p, &d, &opt, &auto, None).unwrap();
+        let report = explain(&p, &d, &opt, None).unwrap();
         assert!(report.fused);
         assert_eq!(report.candidates.len(), 3);
         // x = 3 propagates into y = x: the precondition holds.
@@ -631,8 +430,7 @@ mod tests {
         // x is never used: CTP's `any` flow-dep clause has no solution.
         let (p, d) = world("program p\ninteger x\nx = 3\nend");
         let opt = ctp();
-        let auto = FusedAutomaton::build(std::slice::from_ref(&opt), &p);
-        let report = explain(&p, &d, &opt, &auto, None).unwrap();
+        let report = explain(&p, &d, &opt, None).unwrap();
         match &report.candidates[0].blocker {
             Some(Blocker::DepUnsatisfied { clause: 0, clause_text }) => {
                 assert!(clause_text.contains("flow_dep(Si, Sj"), "{clause_text}");
@@ -645,8 +443,7 @@ mod tests {
         let (p, d) = world(
             "program p\ninteger x, y, z\nread z\nx = 3\nif (z > 0) then\nx = 4\nend if\ny = x\nend",
         );
-        let auto = FusedAutomaton::build(std::slice::from_ref(&opt), &p);
-        let report = explain(&p, &d, &opt, &auto, None).unwrap();
+        let report = explain(&p, &d, &opt, None).unwrap();
         let anchors: Vec<&CandidateExplanation> = report
             .candidates
             .iter()
@@ -673,8 +470,7 @@ mod tests {
              ACTION\n  delete(S);\nEND",
         );
         let (p, d) = world("program p\ninteger x\nx = 3\nend");
-        let auto = FusedAutomaton::build(std::slice::from_ref(&opt), &p);
-        let report = explain(&p, &d, &opt, &auto, None).unwrap();
+        let report = explain(&p, &d, &opt, None).unwrap();
         assert_eq!(
             report.candidates[0].blocker,
             Some(Blocker::FormatFailed {
@@ -688,9 +484,8 @@ mod tests {
     fn restricts_to_one_statement_and_counts_loop_anchors() {
         let (p, d) = world("program p\ninteger x, y\nx = 3\ny = x\nwrite y\nend");
         let opt = ctp();
-        let auto = FusedAutomaton::build(std::slice::from_ref(&opt), &p);
         let s1 = p.iter().nth(1).unwrap();
-        let report = explain(&p, &d, &opt, &auto, Some(s1)).unwrap();
+        let report = explain(&p, &d, &opt, Some(s1)).unwrap();
         assert_eq!(report.candidates.len(), 1);
         assert_eq!(report.candidates[0].stmt, Some(s1));
 
@@ -704,8 +499,7 @@ mod tests {
         let (p, d) = world(
             "program p\ninteger i, x\nreal a(10)\ndo i = 1, 10\na(i) = x\nend do\nend",
         );
-        let auto = FusedAutomaton::build(std::slice::from_ref(&lur), &p);
-        let report = explain(&p, &d, &lur, &auto, None).unwrap();
+        let report = explain(&p, &d, &lur, None).unwrap();
         assert!(!report.fused);
         assert_eq!(report.candidates.len(), 1);
         match &report.candidates[0].blocker {
@@ -715,5 +509,11 @@ mod tests {
             None => {} // no control dep recorded for loop bodies: fires
             other => panic!("unexpected blocker {other:?}"),
         }
+        // `only_stmt` selects a loop anchor by its head, as `apply --at`
+        // does; any other statement selects none.
+        let head = d.loops().iter().next().unwrap().head;
+        assert_eq!(explain(&p, &d, &lur, Some(head)).unwrap().candidates.len(), 1);
+        let body = p.next(head).unwrap();
+        assert!(explain(&p, &d, &lur, Some(body)).unwrap().candidates.is_empty());
     }
 }

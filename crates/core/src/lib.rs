@@ -60,14 +60,14 @@ mod rt;
 mod session;
 mod solve;
 
-pub use automaton::{anchor_filter, AdmissionVerdict, AnchorFilter, FusedAutomaton};
+pub use automaton::{anchor_filter, AnchorFilter, AnchorMiss, FusedAutomaton};
 pub use batch::{run_batch, BatchItem, BatchOutcome, BatchPolicy, BatchStatus, BatchSuccess};
 pub use caches::SessionCaches;
 pub use compile::{generate, CompiledClause, CompiledOptimizer, Strategy};
 pub use cost::Cost;
 pub use driver::{ApplyMode, ApplyReport, DegradeStats, Driver, MatchSet, MatcherKind};
 pub use error::{GenerateError, RunError};
-pub use explain::{explain, Blocker, CandidateExplanation, ExplainReport, ENV_CAP};
+pub use explain::{explain, Blocker, CandidateExplanation, ExplainReport};
 pub use fault::{FaultKind, FaultPlan};
 pub use rt::{Bindings, RtVal};
 pub use session::{Session, SessionOptions};

@@ -356,6 +356,55 @@ pub(crate) struct Searcher<'a> {
     /// matched anchor can reach dependence checking under several
     /// bindings, or under none when a later pattern clause fails.
     pub funnel_dep_checked: u64,
+    /// When `Some`, one [`AnchorVisit`] per anchor candidate visited,
+    /// recording whether it fired and, if not, the gate that blocked it
+    /// (`explain` renders these). `None` — the default — records nothing.
+    pub record: Option<Vec<AnchorVisit>>,
+}
+
+/// A precondition gate that rejected a binding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Gate {
+    /// The anchor filter does not admit the anchor statement.
+    Admission,
+    /// The anchor clause's format is false.
+    Format,
+    /// An `any` pattern clause has no witness.
+    NoWitness,
+    /// A `no` pattern clause matched an element.
+    Forbidden,
+    /// An `any` Depend clause has no solution.
+    DepUnsatisfied,
+    /// A `no` Depend clause has a solution.
+    DepForbidden,
+}
+
+/// One recorded anchor visit (see [`Searcher::record`]).
+#[derive(Clone, Debug)]
+pub(crate) struct AnchorVisit {
+    /// The anchor candidate's values, in anchor-clause variable order.
+    pub anchor: Vec<RtVal>,
+    /// Some binding from this anchor satisfied the whole precondition.
+    pub fired: bool,
+    /// The blocking failure: an admission miss if there was one, else the
+    /// deepest failing gate (the last of equal depth).
+    pub miss: Option<GateMiss>,
+}
+
+/// One gate failure recorded under an anchor visit.
+#[derive(Clone, Debug)]
+pub(crate) struct GateMiss {
+    /// Which gate failed.
+    pub gate: Gate,
+    /// The failing clause's position in the search: pattern clauses
+    /// first, then Depend clauses.
+    pub idx: usize,
+    /// The bindings it failed under: the bound candidate for a format
+    /// miss, the matching element for a `no` pattern clause, the first
+    /// solution for a `no` Depend clause, the incoming bindings for the
+    /// other clause gates, and none for an admission miss (the visit's
+    /// anchor is the statement).
+    pub witness: Bindings,
 }
 
 /// How anchor candidates produced by `pattern_candidates` relate to the
@@ -397,6 +446,44 @@ impl<'a> Searcher<'a> {
             funnel_admitted: 0,
             funnel_matched: 0,
             funnel_dep_checked: 0,
+            record: None,
+        }
+    }
+
+    /// Counts one anchor visit, opens its record when recording, and
+    /// returns whether the candidate is in the admission set.
+    fn visit_anchor(&mut self, admission: &AnchorAdmission, cand: &[RtVal]) -> bool {
+        let admitted = self.anchor_admitted(admission, cand);
+        self.cost.anchor_visits += 1;
+        if admitted {
+            self.funnel_admitted += 1;
+        }
+        if let Some(visits) = &mut self.record {
+            visits.push(AnchorVisit {
+                anchor: cand.to_vec(),
+                fired: false,
+                miss: None,
+            });
+            if !admitted {
+                self.note_miss(Gate::Admission, 0, Bindings::new());
+            }
+        }
+        admitted
+    }
+
+    /// Records a gate failure against the current anchor visit. An
+    /// admission miss is final; otherwise a failure at least as deep as
+    /// the recorded one replaces it.
+    fn note_miss(&mut self, gate: Gate, idx: usize, witness: Bindings) {
+        let Some(visit) = self.record.as_mut().and_then(|v| v.last_mut()) else {
+            return;
+        };
+        let replace = match &visit.miss {
+            None => true,
+            Some(m) => m.gate != Gate::Admission && idx >= m.idx,
+        };
+        if replace {
+            visit.miss = Some(GateMiss { gate, idx, witness });
         }
     }
 
@@ -475,6 +562,9 @@ impl<'a> Searcher<'a> {
             let cc = &opt.depends[di];
             return self.rec_depend(idx, cc, env, out, limit);
         }
+        if let Some(visit) = self.record.as_mut().and_then(|v| v.last_mut()) {
+            visit.fired = true;
+        }
         out.push(env);
         Ok(out.len() >= limit)
     }
@@ -498,14 +588,9 @@ impl<'a> Searcher<'a> {
             std::mem::replace(&mut self.anchor_admission, AnchorAdmission::All);
         match clause.quant {
             Quant::Any => {
+                let mut witnessed = false;
                 'cands: for cand in candidates {
-                    let admitted = idx == 0 && self.anchor_admitted(&admission, &cand);
-                    if idx == 0 {
-                        self.cost.anchor_visits += 1;
-                        if admitted {
-                            self.funnel_admitted += 1;
-                        }
-                    }
+                    let admitted = idx == 0 && self.visit_anchor(&admission, &cand);
                     let mut env2 = env.clone();
                     for (v, val) in clause.vars.iter().zip(&cand) {
                         // A variable bound by an earlier clause (loop pairs
@@ -529,23 +614,24 @@ impl<'a> Searcher<'a> {
                         self.funnel_matched += 1;
                     }
                     if !holds {
+                        if idx == 0 {
+                            self.note_miss(Gate::Format, 0, env2);
+                        }
                         continue 'cands;
                     }
+                    witnessed = true;
                     if self.rec(idx + 1, env2, out, limit)? {
                         return Ok(true);
                     }
+                }
+                if idx > 0 && !witnessed {
+                    self.note_miss(Gate::NoWitness, idx, env);
                 }
                 Ok(false)
             }
             Quant::No => {
                 for cand in candidates {
-                    let admitted = idx == 0 && self.anchor_admitted(&admission, &cand);
-                    if idx == 0 {
-                        self.cost.anchor_visits += 1;
-                        if admitted {
-                            self.funnel_admitted += 1;
-                        }
-                    }
+                    let admitted = idx == 0 && self.visit_anchor(&admission, &cand);
                     let mut env2 = env.clone();
                     for (v, val) in clause.vars.iter().zip(&cand) {
                         env2.set(v, val.clone());
@@ -562,6 +648,7 @@ impl<'a> Searcher<'a> {
                         if admitted {
                             self.funnel_matched += 1;
                         }
+                        self.note_miss(Gate::Forbidden, idx, env2);
                         return Ok(false); // an element matches: clause fails
                     }
                 }
@@ -736,9 +823,10 @@ impl<'a> Searcher<'a> {
         let di = idx - self.opt.patterns.len();
         match cc.clause.quant {
             Quant::Any => {
-                let solutions = self.solve_clause(cc, &env, false)?;
+                let solutions = self.solve_clause(cc, &env)?;
                 if solutions.is_empty() {
                     self.dep_rejects[di] += 1;
+                    self.note_miss(Gate::DepUnsatisfied, idx, env);
                     return Ok(false);
                 }
                 for sol in solutions {
@@ -749,16 +837,17 @@ impl<'a> Searcher<'a> {
                 Ok(false)
             }
             Quant::No => {
-                let solutions = self.solve_clause(cc, &env, false)?;
+                let mut solutions = self.solve_clause(cc, &env)?;
                 if solutions.is_empty() {
                     self.rec(idx + 1, env, out, limit)
                 } else {
                     self.dep_rejects[di] += 1;
+                    self.note_miss(Gate::DepForbidden, idx, solutions.swap_remove(0));
                     Ok(false)
                 }
             }
             Quant::All => {
-                let solutions = self.solve_clause(cc, &env, true)?;
+                let solutions = self.solve_clause(cc, &env)?;
                 let mut env2 = env;
                 for (v, pv) in cc.clause.vars.iter().zip(&cc.clause.pos_vars) {
                     let mut collected: Vec<(StmtId, Option<OperandPos>)> = Vec::new();
@@ -784,11 +873,10 @@ impl<'a> Searcher<'a> {
     /// Solves one dependence clause: returns every extension of `env`
     /// binding the clause's variables (and position variables) that makes
     /// the membership constraints and conditions true.
-    pub(crate) fn solve_clause(
+    fn solve_clause(
         &mut self,
         cc: &CompiledClause,
         env: &Bindings,
-        _want_all: bool,
     ) -> Result<Vec<Bindings>, RunError> {
         let strategy = self.pick_strategy(cc, env);
         self.strategies_used.push(strategy);
@@ -836,9 +924,7 @@ impl<'a> Searcher<'a> {
     /// Cost estimate for deps-then-membership: the number of edges the
     /// first binding atom would enumerate.
     fn estimate_deps(&self, cc: &CompiledClause, env: &Bindings) -> usize {
-        let mut atoms = Vec::new();
-        flatten_and(&cc.clause.cond, &mut atoms);
-        for atom in atoms {
+        for atom in conjuncts(&cc.clause.cond) {
             if let BoolExpr::Dep { from, to, .. } = atom {
                 let from_bound = self.side_stmt(from, env);
                 let to_bound = self.side_stmt(to, env);
@@ -1226,14 +1312,20 @@ fn dedup_envs(envs: &mut Vec<Bindings>) {
     });
 }
 
-fn flatten_and<'b>(b: &'b BoolExpr, out: &mut Vec<&'b BoolExpr>) {
-    match b {
-        BoolExpr::And(l, r) => {
-            flatten_and(l, out);
-            flatten_and(r, out);
+/// A condition's top-level conjuncts, in source order.
+pub(crate) fn conjuncts(b: &BoolExpr) -> Vec<&BoolExpr> {
+    fn walk<'b>(b: &'b BoolExpr, out: &mut Vec<&'b BoolExpr>) {
+        match b {
+            BoolExpr::And(l, r) => {
+                walk(l, out);
+                walk(r, out);
+            }
+            other => out.push(other),
         }
-        other => out.push(other),
     }
+    let mut out = Vec::new();
+    walk(b, &mut out);
+    out
 }
 
 /// Pattern-format evaluation (no dependence atoms; short-circuit with
