@@ -21,8 +21,7 @@
 //! exists to exploit. It cross-checks that the fused matcher binds the
 //! scan's application points and lands on the same final program, times
 //! the match phase via the driver's `driver.search_ns`/`driver.pattern_ns`
-//! histograms, measures batch throughput at 1/2/4 threads through
-//! [`genesis::run_batch`], and emits `BENCH_match.json`.
+//! histograms, and emits `BENCH_match.json`.
 //! `--fused-gate 1.0` exits nonzero if the fused *wall-clock* geomean
 //! falls below the scan's.
 
@@ -378,8 +377,6 @@ fn emit_match_json(
     seq: &[String],
     repeats: usize,
     geomeans: (f64, f64),
-    items: usize,
-    batch: &[(usize, u128)],
 ) -> String {
     let (fused_match_geomean, fused_wall_geomean) = geomeans;
     let mut out = String::from("{\n");
@@ -424,41 +421,9 @@ fn emit_match_json(
         "  \"geomean_fused_match_speedup\": {fused_match_geomean:.3},\n"
     ));
     out.push_str(&format!(
-        "  \"geomean_fused_wall_speedup\": {fused_wall_geomean:.3},\n"
-    ));
-    out.push_str("  \"batch\": {\n");
-    out.push_str(&format!("    \"items\": {items},\n    \"threads\": [\n"));
-    for (i, (threads, ns)) in batch.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"threads\": {threads}, \"wall_ns\": {ns}}}{}\n",
-            if i + 1 == batch.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("    ],\n");
-    let base = batch.first().map(|&(_, ns)| ns).unwrap_or(1).max(1);
-    let best = batch.last().map(|&(_, ns)| ns).unwrap_or(1).max(1);
-    out.push_str(&format!(
-        "    \"speedup_4_over_1\": {:.3}\n  }}\n}}\n",
-        base as f64 / best as f64
+        "  \"geomean_fused_wall_speedup\": {fused_wall_geomean:.3}\n}}\n"
     ));
     out
-}
-
-/// Each workload appears this many times in the batch-scaling measurement,
-/// so the pool has enough items to keep every worker busy.
-const BATCH_REPLICAS: usize = 2;
-
-fn batch_items(suite: &[(&'static str, Program)]) -> Vec<genesis::BatchItem> {
-    let mut items = Vec::with_capacity(suite.len() * BATCH_REPLICAS);
-    for rep in 0..BATCH_REPLICAS {
-        for (name, prog) in suite {
-            items.push(genesis::BatchItem {
-                label: format!("{name}#{rep}"),
-                prog: prog.clone(),
-            });
-        }
-    }
-    items
 }
 
 fn run_match_bench(args: &[String]) {
@@ -582,45 +547,11 @@ fn run_match_bench(args: &[String]) {
         fused_wall_geomean
     );
 
-    // Batch scaling: the whole suite (replicated) through the parallel
-    // batch driver at 1, 2 and 4 threads, fused matcher on.
-    let options = genesis::SessionOptions {
-        matcher: MatcherKind::Fused,
-        ..Default::default()
-    };
-    let seq_names: Vec<&str> = seq.iter().map(String::as_str).collect();
-    let mut batch = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let mut best = u128::MAX;
-        for _ in 0..repeats.min(10) {
-            let items = batch_items(&suite);
-            let started = Instant::now();
-            let out = genesis::run_batch(
-                items,
-                &opts,
-                &seq_names,
-                options,
-                &genesis::BatchPolicy::default(),
-                threads,
-                None,
-            );
-            best = best.min(started.elapsed().as_nanos());
-            assert!(
-                out.iter().all(|o| o.status.is_done()),
-                "batch run failed at {threads} thread(s)"
-            );
-        }
-        println!("batch of {} items at {threads} thread(s): {best} ns", suite.len() * BATCH_REPLICAS);
-        batch.push((threads, best));
-    }
-
     let json = emit_match_json(
         &rows,
         &seq,
         repeats,
         (fused_match_geomean, fused_wall_geomean),
-        suite.len() * BATCH_REPLICAS,
-        &batch,
     );
     std::fs::write(&out_path, json).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");

@@ -31,13 +31,14 @@ USAGE:
         run/seq options: [--validate] [--timeout-ms N] [--fuel N]
         [--max-growth K] [--inject KIND[@OPT][:N]]
         [--trace FILE] [--metrics] plus the apply options
-    genesis-opt batch <prog.mf>… [--seq <OPT>,<OPT>…] [--threads N]
-        apply a sequence to many programs in parallel (one session per
-        program, results in input order); self-healing: worker panics are
-        contained per file and transient failures retried
+    genesis-opt batch <prog.mf>… [--seq <OPT>,<OPT>…] [--spec FILE]…
+        apply a sequence to each program in turn (one session per
+        program, results in input order); self-healing: a panic is
+        contained to its file and transient failures are retried
         [--keep-going] [--retries N] [--file-timeout-ms N] [--report FILE]
-        also accepts [--source] [--inject PLAN] [--trace FILE] [--metrics]
-        plus the session options above
+        [--timeout-ms N] [--fuel N] [--max-growth K] [--inject PLAN]
+        [--no-degrade] [--no-recompute] [--source]
+        [--trace FILE] [--trace-sample N] [--metrics]
     genesis-opt explain <prog.mf> --opt <OPT> [--stmt sN] [--spec FILE]…
         run the optimizer's search over every anchor candidate (with
         --stmt, the anchors headed at sN, as apply --at selects) and
@@ -389,35 +390,49 @@ fn run_optimizers(prog: Program, names: &[&str], args: &[String]) -> Result<(), 
     }
 }
 
-/// The `batch` command: one session per program file, fanned out over a
-/// self-healing worker pool (panic containment, transient-error retries,
-/// per-file deadlines), results printed in input order. By default the
-/// first ultimate failure aborts the remaining files; `--keep-going`
-/// drives every file regardless. The exit code is nonzero only when at
-/// least one file ultimately failed.
+/// The options `batch` reads that take a value.
+const BATCH_VALUE_OPTS: [&str; 11] = [
+    "--seq",
+    "--trace",
+    "--trace-sample",
+    "--timeout-ms",
+    "--fuel",
+    "--max-growth",
+    "--spec",
+    "--retries",
+    "--file-timeout-ms",
+    "--report",
+    "--inject",
+];
+
+/// The value-less flags `batch` reads.
+const BATCH_FLAGS: [&str; 5] = [
+    "--keep-going",
+    "--source",
+    "--metrics",
+    "--no-degrade",
+    "--no-recompute",
+];
+
+/// The `batch` command: one session per program file, run in input
+/// order under a self-healing supervisor (panic containment,
+/// transient-error retries, per-file deadlines). By default the first
+/// ultimate failure skips the remaining files; `--keep-going` drives
+/// every file regardless. The exit code is nonzero only when at least
+/// one file ultimately failed.
 fn run_batch_command(args: &[String]) -> Result<(), String> {
-    const VALUE_OPTS: [&str; 12] = [
-        "--seq",
-        "--threads",
-        "--trace",
-        "--trace-sample",
-        "--timeout-ms",
-        "--fuel",
-        "--max-growth",
-        "--spec",
-        "--retries",
-        "--file-timeout-ms",
-        "--report",
-        "--inject",
-    ];
     let mut files: Vec<String> = Vec::new();
     let mut i = 1;
     while i < args.len() {
         let a = &args[i];
-        if VALUE_OPTS.contains(&a.as_str()) {
+        if BATCH_VALUE_OPTS.contains(&a.as_str()) {
             i += 2;
-        } else if a.starts_with("--") {
+        } else if BATCH_FLAGS.contains(&a.as_str()) {
             i += 1;
+        } else if a.starts_with("--") {
+            return Err(format!(
+                "batch does not accept `{a}` (run `genesis-opt` for its options)"
+            ));
         } else {
             files.push(a.clone());
             i += 1;
@@ -426,7 +441,6 @@ fn run_batch_command(args: &[String]) -> Result<(), String> {
     if files.is_empty() {
         return Err("batch requires at least one program file".into());
     }
-    let threads: usize = num_option(args, "--threads")?.unwrap_or(1);
     let seq_text = option(args, "--seq");
     let sequence: Vec<&str> = seq_text
         .as_deref()
@@ -463,7 +477,7 @@ fn run_batch_command(args: &[String]) -> Result<(), String> {
         fault: parse_inject(args)?,
     };
 
-    // Contained worker panics are reported per file; the default hook's
+    // Contained panics are reported per file; the default hook's
     // backtrace spew would bury the batch report.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
@@ -473,7 +487,6 @@ fn run_batch_command(args: &[String]) -> Result<(), String> {
         &sequence,
         opts,
         &policy,
-        threads,
         recorder.as_ref(),
     );
     std::panic::set_hook(prev_hook);
@@ -606,7 +619,7 @@ fn run_report_command(args: &[String]) -> Result<(), String> {
 }
 
 /// The structured per-file batch report (`--report FILE`): one entry per
-/// input slot with status, attempt count and elapsed time.
+/// input file with status, attempt count and elapsed time.
 fn batch_report_json(outcomes: &[genesis::BatchOutcome]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\n  \"files\": [\n");
@@ -774,5 +787,25 @@ pub(crate) fn read_line(mut input: impl BufRead) -> Option<String> {
         Ok(0) => None,
         Ok(_) => Some(line.trim().to_string()),
         Err(_) => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn batch_usage_lists_exactly_the_flags_batch_reads() {
+        let start = USAGE.find("genesis-opt batch").unwrap();
+        let end = start + USAGE[start..].find("genesis-opt explain").unwrap();
+        let mut listed: Vec<&str> = USAGE[start..end]
+            .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+            .filter(|w| w.starts_with("--"))
+            .collect();
+        let mut read: Vec<&str> = BATCH_VALUE_OPTS.iter().chain(&BATCH_FLAGS).copied().collect();
+        listed.sort_unstable();
+        listed.dedup();
+        read.sort_unstable();
+        assert_eq!(listed, read);
     }
 }

@@ -551,3 +551,145 @@ fn trace_sample_keeps_counters_while_dropping_spans() {
         "sampling must drop attempt spans"
     );
 }
+
+/// Three small programs for the batch tests; CTP applies twice to each.
+fn batch_progs() -> Vec<tempfile_path::TempPath> {
+    (1..=3)
+        .map(|i| tempfile_path::write(&format!("program p{i}\ninteger x, y\nx = {i}\ny = x\nwrite y\nend\n")))
+        .collect()
+}
+
+/// Runs `genesis-opt batch` over `progs` with `extra` flags and a
+/// `--report` file; returns (exit success, stdout, report JSON).
+fn run_batch(progs: &[tempfile_path::TempPath], extra: &[&str]) -> (bool, String, String) {
+    let report = tempfile_path::write("");
+    let out = bin()
+        .arg("batch")
+        .args(progs.iter().map(|p| p.0.to_str().unwrap()))
+        .args(extra)
+        .args(["--report", report.0.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let json = std::fs::read_to_string(&report.0).unwrap();
+    (out.status.success(), String::from_utf8(out.stdout).unwrap(), json)
+}
+
+/// The per-file report lines of a `--report` JSON, in file order.
+fn report_files(json: &str) -> Vec<&str> {
+    json.lines().filter(|l| l.trim_start().starts_with("{\"file\"")).collect()
+}
+
+#[test]
+fn batch_prints_results_in_input_order() {
+    let progs = batch_progs();
+    let (ok, out, json) = run_batch(&progs, &["--seq", "CTP"]);
+    assert!(ok, "{out}");
+    let mut last = 0;
+    for (i, p) in progs.iter().enumerate() {
+        let header = format!("== {}: 2 application(s)", p.0.to_str().unwrap());
+        let at = out.find(&header).unwrap_or_else(|| panic!("missing {header}:\n{out}"));
+        assert!(at >= last, "results out of input order:\n{out}");
+        last = at;
+        assert!(out[at..].contains(&format!("write {}", i + 1)), "{out}");
+    }
+    assert!(json.contains("\"done\": 3, \"failed\": 0, \"skipped\": 0"), "{json}");
+}
+
+#[test]
+fn batch_persistent_fault_skips_the_rest_without_keep_going() {
+    let progs = batch_progs();
+    let (ok, _, json) = run_batch(&progs, &["--seq", "CTP", "--inject", "panic@CTP"]);
+    assert!(!ok, "a failed file must make the exit code nonzero");
+    let files = report_files(&json);
+    assert!(files[0].contains("\"status\": \"failed\""), "{json}");
+    for f in &files[1..] {
+        assert!(f.contains("\"attempts\": 0") && f.contains("\"status\": \"skipped\""), "{json}");
+    }
+    assert!(json.contains("\"done\": 0, \"failed\": 1, \"skipped\": 2"), "{json}");
+}
+
+#[test]
+fn batch_keep_going_attempts_every_file_one_plus_retries_times() {
+    let progs = batch_progs();
+    let (ok, _, json) = run_batch(
+        &progs,
+        &["--seq", "CTP", "--inject", "panic@CTP", "--keep-going", "--retries", "2"],
+    );
+    assert!(!ok);
+    let files = report_files(&json);
+    assert_eq!(files.len(), 3, "{json}");
+    for f in files {
+        assert!(f.contains("\"attempts\": 3") && f.contains("\"status\": \"failed\""), "{json}");
+    }
+}
+
+#[test]
+fn batch_transient_fault_heals_in_two_attempts() {
+    let progs = batch_progs();
+    let (ok, out, json) = run_batch(&progs, &["--seq", "CTP", "--inject", "~panic"]);
+    assert!(ok, "{out}");
+    for f in report_files(&json) {
+        assert!(f.contains("\"attempts\": 2") && f.contains("\"status\": \"done\""), "{json}");
+    }
+}
+
+#[test]
+fn batch_metrics_sum_the_applications_of_every_file() {
+    let progs = batch_progs();
+    let (ok, out, json) = run_batch(&progs, &["--seq", "CTP,DCE", "--metrics"]);
+    assert!(ok, "{out}");
+    let per_file: u64 = report_files(&json)
+        .iter()
+        .map(|f| {
+            let tail = &f[f.find("\"applications\": ").unwrap() + 16..];
+            tail[..tail.find(',').unwrap()].parse::<u64>().unwrap()
+        })
+        .sum();
+    let total: u64 = out
+        .lines()
+        .find_map(|l| l.strip_prefix("driver.applications"))
+        .unwrap_or_else(|| panic!("no driver.applications counter:\n{out}"))
+        .trim()
+        .parse()
+        .unwrap();
+    assert!(per_file > 0);
+    assert_eq!(total, per_file, "{out}\n{json}");
+}
+
+#[test]
+fn batch_default_sequence_runs_a_replaced_optimizer_once() {
+    let prog = write_prog();
+    let spec = tempfile_path::write(
+        "OPTIMIZATION CTP TYPE Stmt: S; PRECOND Code_Pattern any S: S.opc == write; ACTION delete(S); END",
+    );
+    let trace = tempfile_path::write("");
+    run_ok(&[
+        "batch",
+        prog.0.to_str().unwrap(),
+        "--spec",
+        spec.0.to_str().unwrap(),
+        "--trace",
+        trace.0.to_str().unwrap(),
+    ]);
+    // Every run of an optimizer opens one attempt span at application 0.
+    let text = std::fs::read_to_string(&trace.0).unwrap();
+    let ctp_runs = text
+        .lines()
+        .filter(|l| l.contains("\"type\":\"span_open\",\"name\":\"driver.attempt\""))
+        .filter(|l| l.contains("\"optimizer\":\"CTP\",\"application\":0"))
+        .count();
+    assert_eq!(ctp_runs, 1, "{text}");
+}
+
+#[test]
+fn batch_rejects_flags_it_does_not_read() {
+    let prog = write_prog();
+    let path = prog.0.to_str().unwrap();
+    for extra in [&["--keep-gong"][..], &["--threads", "4"], &["--validate"], &["--bogus", "4"]] {
+        let mut args = vec!["batch", path];
+        args.extend_from_slice(extra);
+        let err = run_err(&args);
+        let line = last_error_line(&err);
+        assert!(line.contains(extra[0]), "{extra:?}: {line}");
+    }
+}

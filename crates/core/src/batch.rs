@@ -1,22 +1,14 @@
-//! Parallel batch driving: the same optimizer sequence over many
-//! programs at once, one [`Session`] per program, fanned out over a
-//! fixed worker pool with [`std::thread::scope`] (no extra
-//! dependencies, honouring the workspace's offline constraint).
+//! Batch driving: the same optimizer sequence over many programs, one
+//! [`Session`] per program, run one file after another in input order
+//! and traced into the caller's [`Recorder`].
 //!
-//! Results come back in input order regardless of which worker finished
-//! first, so batch output is deterministic. Each worker records into its
-//! own [`Recorder`] and the pool merges them into the caller's recorder
-//! after the scope joins ([`Recorder::merge_from`]), so `--metrics`
-//! reports one coherent stream with no cross-thread lock traffic during
-//! the run.
-//!
-//! The pool is **self-healing**: a panic escaping one file's session is
-//! contained in that file's slot ([`RunError::Internal`]), transient
-//! errors (timeout, fuel exhaustion, contained panics) earn up to
-//! [`BatchPolicy::retries`] fresh attempts from the pristine input
-//! program within the per-file deadline, and a failure either aborts the
+//! The driver is a **supervisor**: a panic escaping one file's session
+//! is contained in that file's outcome ([`RunError::Internal`]),
+//! transient errors (timeout, fuel exhaustion, contained panics) earn up
+//! to [`BatchPolicy::retries`] fresh attempts from the pristine input
+//! program within the per-file deadline, and a failure either skips the
 //! remaining files ([`BatchStatus::Skipped`]) or — under
-//! [`BatchPolicy::keep_going`] — leaves the other slots untouched.
+//! [`BatchPolicy::keep_going`] — leaves them to run.
 
 use crate::compile::CompiledOptimizer;
 use crate::cost::Cost;
@@ -26,8 +18,7 @@ use crate::session::{Session, SessionOptions};
 use gospel_ir::Program;
 use gospel_trace::{Recorder, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One program going into a batch run.
@@ -44,8 +35,8 @@ pub struct BatchItem {
 #[derive(Clone, Debug)]
 pub struct BatchPolicy {
     /// Keep driving the remaining files after one ultimately fails. Off,
-    /// a failure aborts the batch: files not yet started come back
-    /// [`BatchStatus::Skipped`] (in-flight files still finish).
+    /// a failure aborts the batch: every later file comes back
+    /// [`BatchStatus::Skipped`].
     pub keep_going: bool,
     /// Extra attempts granted to a file whose run fails *transiently*
     /// (timeout, fuel exhaustion, or a contained panic). Each retry
@@ -71,20 +62,20 @@ impl Default for BatchPolicy {
     }
 }
 
-/// What one batch slot produced, in the input slot's position.
+/// What one batch item produced, in the item's input position.
 #[derive(Debug)]
 pub struct BatchOutcome {
     /// The label of the [`BatchItem`] this outcome belongs to.
     pub label: String,
     /// How many attempts the file consumed (0 when skipped).
     pub attempts: usize,
-    /// Wall-clock time the slot spent across all attempts.
+    /// Wall-clock time the item spent across all attempts.
     pub elapsed_ms: u64,
-    /// How the slot ended.
+    /// How the item ended.
     pub status: BatchStatus,
 }
 
-/// Terminal state of one batch slot.
+/// Terminal state of one batch item.
 #[derive(Debug)]
 pub enum BatchStatus {
     /// The whole sequence ran; the optimized program and its statistics
@@ -132,104 +123,39 @@ pub struct BatchSuccess {
     pub cost: Cost,
 }
 
-/// Runs `sequence` (optimizer names; empty means every registered
-/// optimizer in registration order) over every item, using at most
-/// `threads` worker threads, and returns one outcome per item **in
-/// input order**.
+/// Runs `sequence` (optimizer names; empty means each optimizer the
+/// session ends up registering, once, in registration order) over every
+/// item in turn and returns one outcome per item **in input order**.
 ///
 /// Each item gets its own [`Session`] configured with `options` and a
-/// clone of every optimizer in `optimizers`, so workers share nothing
-/// mutable. When `recorder` is given, each worker traces into a private
-/// recorder; the pool merges them into `recorder` (in worker order)
-/// once every item is done. `policy` governs panic containment, retry,
-/// per-file deadlines, and whether one failure aborts the rest.
+/// clone of every optimizer in `optimizers`, registered in order, so a
+/// later entry replaces a same-named earlier one. Every session traces
+/// into `recorder` when one is given. `policy` governs panic
+/// containment, retry, per-file deadlines, and whether one failure
+/// skips the rest.
 pub fn run_batch(
     items: Vec<BatchItem>,
     optimizers: &[CompiledOptimizer],
     sequence: &[&str],
     options: SessionOptions,
     policy: &BatchPolicy,
-    threads: usize,
     recorder: Option<&Arc<Recorder>>,
 ) -> Vec<BatchOutcome> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let sequence: Vec<&str> = if sequence.is_empty() {
-        optimizers.iter().map(|o| o.name.as_str()).collect()
-    } else {
-        sequence.to_vec()
-    };
-    let workers = threads.max(1).min(n);
-
-    // Slot-per-item hand-off without unsafe indexing tricks: a worker
-    // takes item i out of its mutex, computes, and parks the outcome in
-    // the matching output slot. Slots are claimed through one atomic
-    // cursor, so each is touched by exactly one worker.
-    let inputs: Vec<Mutex<Option<BatchItem>>> = items
+    let mut failed = false;
+    items
         .into_iter()
-        .map(|it| Mutex::new(Some(it)))
-        .collect();
-    let outputs: Vec<Mutex<Option<BatchOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-
-    let mut worker_recs: Vec<Arc<Recorder>> = Vec::new();
-    if recorder.is_some() {
-        worker_recs = (0..workers).map(|_| Arc::new(Recorder::new())).collect();
-    }
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let my_rec = worker_recs.get(w).cloned();
-            let inputs = &inputs;
-            let outputs = &outputs;
-            let cursor = &cursor;
-            let abort = &abort;
-            let sequence = &sequence;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = inputs[i]
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .take()
-                    .expect("slot claimed twice");
-                let outcome = if abort.load(Ordering::Relaxed) {
-                    BatchOutcome {
-                        label: item.label,
-                        attempts: 0,
-                        elapsed_ms: 0,
-                        status: BatchStatus::Skipped,
-                    }
-                } else {
-                    let out =
-                        run_supervised(item, optimizers, sequence, options, policy, my_rec.clone());
-                    if !policy.keep_going && matches!(out.status, BatchStatus::Failed(_)) {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    out
+        .map(|item| {
+            if failed {
+                return BatchOutcome {
+                    label: item.label,
+                    attempts: 0,
+                    elapsed_ms: 0,
+                    status: BatchStatus::Skipped,
                 };
-                *outputs[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(outcome);
-            });
-        }
-    });
-
-    if let Some(rec) = recorder {
-        for wr in &worker_recs {
-            rec.merge_from(wr);
-        }
-    }
-
-    outputs
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .expect("scope joined every worker, so every slot is filled")
+            }
+            let out = run_supervised(item, optimizers, sequence, options, policy, recorder);
+            failed = !policy.keep_going && matches!(out.status, BatchStatus::Failed(_));
+            out
         })
         .collect()
 }
@@ -257,7 +183,7 @@ fn run_supervised(
     sequence: &[&str],
     options: SessionOptions,
     policy: &BatchPolicy,
-    rec: Option<Arc<Recorder>>,
+    rec: Option<&Arc<Recorder>>,
 ) -> BatchOutcome {
     let BatchItem { label, prog } = item;
     let started = Instant::now();
@@ -273,14 +199,14 @@ fn run_supervised(
             let left = total.saturating_sub(elapsed_ms(started)).max(1);
             opts.timeout_ms = Some(opts.timeout_ms.map_or(left, |t| t.min(left)));
         }
-        match run_attempt(prog.clone(), optimizers, sequence, opts, fault.clone(), rec.clone()) {
+        match run_attempt(prog.clone(), optimizers, sequence, opts, fault.clone(), rec.cloned()) {
             Ok(success) => break BatchStatus::Done(Box::new(success)),
             Err(e) => {
                 let deadline_left = policy
                     .file_timeout_ms
                     .is_none_or(|total| elapsed_ms(started) < total);
                 if transient(&e) && attempts <= policy.retries && deadline_left {
-                    if let Some(r) = rec.as_ref() {
+                    if let Some(r) = rec {
                         r.add("batch.file_retry", 1);
                         r.event(
                             "batch.file_retry",
@@ -307,7 +233,7 @@ fn run_supervised(
 
 /// One attempt: a fresh session over a pristine copy of the program.
 /// Panics escaping generated search/action code surface as
-/// [`RunError::Internal`] instead of poisoning the worker pool.
+/// [`RunError::Internal`] instead of unwinding through the batch.
 fn run_attempt(
     prog: Program,
     optimizers: &[CompiledOptimizer],
@@ -323,7 +249,12 @@ fn run_attempt(
         }
         sess.set_fault(fault);
         sess.set_recorder(rec);
-        let reports = sess.run_sequence(sequence)?;
+        let reports = if sequence.is_empty() {
+            let names: Vec<String> = sess.optimizer_names().into_iter().map(String::from).collect();
+            sess.run_sequence(&names.iter().map(String::as_str).collect::<Vec<_>>())?
+        } else {
+            sess.run_sequence(sequence)?
+        };
         let applications = reports.iter().map(|r| r.applications).sum();
         let cost = sess.total_cost();
         Ok(BatchSuccess {
@@ -332,20 +263,7 @@ fn run_attempt(
             cost,
         })
     }));
-    match run {
-        Ok(result) => result,
-        Err(payload) => Err(RunError::Internal(panic_message(payload.as_ref()))),
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
+    run.unwrap_or_else(|payload| Err(RunError::from_panic(payload.as_ref())))
 }
 
 #[cfg(test)]
@@ -376,46 +294,54 @@ mod tests {
     #[test]
     fn batch_results_come_back_in_input_order() {
         let opts = [ctp()];
-        for threads in [1, 4] {
-            let out = run_batch(
-                progs(6),
-                &opts,
-                &["CTP"],
-                SessionOptions::default(),
-                &BatchPolicy::default(),
-                threads,
-                None,
-            );
-            assert_eq!(out.len(), 6);
-            for (i, o) in out.iter().enumerate() {
-                assert_eq!(o.label, format!("p{i}"));
-                assert_eq!(o.attempts, 1);
-                let ok = o.status.success().unwrap();
-                assert_eq!(ok.applications, 2, "CTP propagates twice per program");
-                // the propagated constant is this program's own
-                let shown = format!("{}", gospel_ir::DisplayProgram(&ok.prog));
-                assert!(shown.contains(&format!("write {}", i + 1)), "{shown}");
-            }
+        let out = run_batch(
+            progs(6),
+            &opts,
+            &["CTP"],
+            SessionOptions::default(),
+            &BatchPolicy::default(),
+            None,
+        );
+        assert_eq!(out.len(), 6);
+        for (i, o) in out.iter().enumerate() {
+            assert_eq!(o.label, format!("p{i}"));
+            assert_eq!(o.attempts, 1);
+            let ok = o.status.success().unwrap();
+            assert_eq!(ok.applications, 2, "CTP propagates twice per program");
+            // the propagated constant is this program's own
+            let shown = format!("{}", gospel_ir::DisplayProgram(&ok.prog));
+            assert!(shown.contains(&format!("write {}", i + 1)), "{shown}");
         }
     }
 
     #[test]
-    fn parallel_matches_sequential_output() {
-        let opts = [ctp()];
-        let policy = BatchPolicy::default();
-        let seq = run_batch(progs(5), &opts, &[], SessionOptions::default(), &policy, 1, None);
-        let par = run_batch(progs(5), &opts, &[], SessionOptions::default(), &policy, 4, None);
-        for (a, b) in seq.iter().zip(&par) {
-            let (pa, pb) = (
-                &a.status.success().unwrap().prog,
-                &b.status.success().unwrap().prog,
-            );
-            assert!(pa.structurally_eq(pb));
-        }
+    fn default_sequence_runs_a_replaced_optimizer_once() {
+        // A later optimizer of the same name replaces the earlier one at
+        // registration, so the default sequence must name it once.
+        let opts = [ctp(), ctp()];
+        let rec = Arc::new(Recorder::new());
+        let out = run_batch(
+            progs(1),
+            &opts,
+            &[],
+            SessionOptions::default(),
+            &BatchPolicy::default(),
+            Some(&rec),
+        );
+        assert!(out[0].status.is_done(), "{out:?}");
+        // Each run of an optimizer opens exactly one attempt span at
+        // application 0.
+        let runs = rec
+            .drain_events()
+            .iter()
+            .filter(|e| e.kind == gospel_trace::EventKind::SpanOpen && e.name == "driver.attempt")
+            .filter(|e| e.field("application") == Some(&Value::us(0)))
+            .count();
+        assert_eq!(runs, 1, "CTP must run once, not once per slice entry");
     }
 
     #[test]
-    fn per_item_errors_stay_per_item_and_recorders_merge() {
+    fn per_item_errors_stay_per_item_and_share_one_recorder() {
         let opts = [ctp()];
         let keep_going = BatchPolicy {
             keep_going: true,
@@ -428,7 +354,6 @@ mod tests {
             &["NOPE"],
             SessionOptions::default(),
             &keep_going,
-            2,
             Some(&rec),
         );
         assert!(out
@@ -442,26 +367,23 @@ mod tests {
             &["CTP"],
             SessionOptions::default(),
             &keep_going,
-            2,
             Some(&rec2),
         );
         assert!(out.iter().all(|o| o.status.is_done()));
-        // 3 programs x 2 applications each, merged from both workers
+        // 3 programs x 2 applications each
         assert_eq!(rec2.counter("driver.applications"), 6);
     }
 
     #[test]
     fn failure_without_keep_going_skips_the_rest() {
         let opts = [ctp()];
-        // Single worker so the claim order is deterministic: p0 fails,
-        // p1/p2 must be skipped and reported as such.
+        // p0 fails, so p1/p2 must be skipped and reported as such.
         let out = run_batch(
             progs(3),
             &opts,
             &["NOPE"],
             SessionOptions::default(),
             &BatchPolicy::default(),
-            1,
             None,
         );
         assert!(matches!(
@@ -478,8 +400,8 @@ mod tests {
     fn injected_panic_is_contained_and_retried_per_file() {
         let opts = [ctp()];
         // A transient panic per file: every file's first attempt dies,
-        // every retry succeeds — the pool self-heals and the batch is
-        // fully green with exactly 2 attempts per slot.
+        // every retry succeeds — the supervisor self-heals and the batch
+        // is fully green with exactly 2 attempts per file.
         let policy = BatchPolicy {
             fault: Some(FaultPlan::new(FaultKind::Panic).transient()),
             ..BatchPolicy::default()
@@ -491,7 +413,6 @@ mod tests {
             &["CTP"],
             SessionOptions::default(),
             &policy,
-            2,
             Some(&rec),
         );
         for o in &out {
@@ -503,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_panic_fails_only_its_own_slot_under_keep_going() {
+    fn persistent_panic_fails_only_its_own_file_under_keep_going() {
         let opts = [ctp()];
         let policy = BatchPolicy {
             keep_going: true,
@@ -516,12 +437,11 @@ mod tests {
             &["CTP"],
             SessionOptions::default(),
             &policy,
-            1,
             None,
         );
         for o in &out {
             // Retries are allowed but the fault re-fires at the same
-            // application index every attempt; the slot ultimately fails
+            // application index every attempt; the file ultimately fails
             // as Internal without touching its neighbours.
             assert!(
                 matches!(o.status.error(), Some(RunError::Internal(_))),

@@ -99,4 +99,19 @@ impl fmt::Display for RunError {
     }
 }
 
+impl RunError {
+    /// The [`RunError::Internal`] for a panic caught by `catch_unwind`,
+    /// carrying the panic's message when its payload is a string.
+    pub fn from_panic(payload: &(dyn std::any::Any + Send)) -> RunError {
+        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "panic with non-string payload".to_string()
+        };
+        RunError::Internal(msg)
+    }
+}
+
 impl std::error::Error for RunError {}

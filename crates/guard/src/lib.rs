@@ -529,8 +529,7 @@ impl GuardedSession {
 
         let report = match run {
             Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                let err = RunError::Internal(msg);
+                let err = RunError::from_panic(payload.as_ref());
                 self.reject(&canonical, checkpoint, GuardStage::Internal, err.to_string(), None, None)
             }
             Ok(Err(RunError::UnknownOptimizer { name })) => {
@@ -815,16 +814,6 @@ fn executes_identically(a: &Program, b: &Program) -> bool {
 
 fn normalize(name: &str) -> String {
     name.to_ascii_uppercase()
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 fn describe_divergence(before: &Trace, after: &Trace, at: Option<usize>) -> String {

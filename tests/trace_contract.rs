@@ -294,7 +294,6 @@ fn record_batch_retry_run() -> Vec<Event> {
         &["CTP"],
         SessionOptions::default(),
         &policy,
-        2,
         Some(&rec),
     );
     for o in &outcomes {
